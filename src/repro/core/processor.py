@@ -44,14 +44,21 @@ equivalence suite in ``tests/perf``).
 The stage logic lives in :mod:`repro.core.stages`: one component per
 stage, each a ``bind(state)`` factory closing over the shared
 :class:`~repro.core.stages.state.CoreState` and returning ``(tick,
-finish)``.  The kernel steps cycles, running each tick behind a guard
-that is provably a no-op check (an empty calendar slot cannot wake
-anyone, a non-COMPLETED ROB head cannot commit, …), so quiet stages
-cost one truth test per cycle.  Two compositions of the same stage
-sources exist: the default **fused** kernel splices the tick bodies
-into one generated function (:mod:`repro.core.stages.compose`), and
-the **portable** kernel (``REPRO_PORTABLE_KERNEL=1``) calls the bound
-closures per tick; tests pin them bit-identical.
+finish)``.  Each cycle runs each tick behind a guard that is provably a
+no-op check (an empty calendar slot cannot wake anyone, a non-COMPLETED
+ROB head cannot commit, …), so quiet stages cost one truth test per
+cycle.  Two compositions of the same stage sources exist:
+
+- the **kernel** every run executes: the tick bodies spliced into one
+  generated per-core cycle generator (:mod:`repro.core.stages.compose`)
+  with the config's scalars constant-folded in
+  (:mod:`repro.core.stages.specialize`), stepped by :func:`step_cores`
+  — one generator for a solo run, N in lockstep for a mix
+  (:mod:`repro.core.multicore`);
+- the **portable** kernel, :meth:`Processor._portable_kernel`, which
+  calls the bound closures per tick: the debuggable oracle the tests
+  pin the generated kernel against, bit-identically.
+
 The performance tricks the components inherit from the fused-loop
 ancestor — the 256-slot calendar ring, the two seq-ordered issue lanes,
 the ROB free list, simple port arbiters and ALU pools as local integer
@@ -64,9 +71,8 @@ are in ``docs/timing_model.md``.
 from __future__ import annotations
 
 import gc
-import os
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.isa.opcodes import FuClass, LATENCY_BY_INT
@@ -85,6 +91,67 @@ from repro.pipeline.fu import FuPool
 from repro.pipeline.rob import Rob, RobEntry
 from repro.stats.counters import CounterSet
 from repro.vm.trace import DynInst
+
+
+def step_cores(kernels: Sequence[Generator[int, int, tuple]],
+               limit: int) -> List[tuple]:
+    """Step per-core cycle generators in lockstep on one global clock.
+
+    Each kernel is an unstarted generator made by the function
+    :func:`repro.core.stages.specialize.kernel_for` returns: it yields the
+    earliest cycle it next needs to run (its *wake*) and is sent each
+    cycle it runs.  Within a cycle cores step in order; a core whose
+    wake lies ahead is not stepped.  When no live core stepped in a
+    cycle, the clock jumps to the earliest wake — pure wall-clock, as
+    each core's skip accounting is its own.  Past *limit* every live
+    core is sent one last cycle, which stops it with ``exceeded`` set.
+
+    Returns each kernel's result tuple, in order.  GC is paused while
+    the kernels run (see ``docs/perf.md``).
+    """
+    outs: List[Optional[tuple]] = [None] * len(kernels)
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        live = []  # [core index, send, wake]
+        for i, kernel in enumerate(kernels):
+            try:
+                live.append([i, kernel.send, next(kernel)])
+            except StopIteration as stop:  # nothing to simulate
+                outs[i] = stop.value
+        now = 0
+        while live:
+            now += 1
+            if now > limit:
+                for i, send, _wake in live:
+                    try:
+                        send(now)
+                    except StopIteration as stop:
+                        outs[i] = stop.value
+                break
+            stepped = finished = False
+            for core in live:
+                if now < core[2]:
+                    continue
+                try:
+                    core[2] = core[1](now)
+                except StopIteration as stop:
+                    outs[core[0]] = stop.value
+                    core[2] = None
+                    finished = True
+                    continue
+                stepped = True
+            if finished:
+                live = [core for core in live if core[2] is not None]
+            if not stepped and live:
+                wake = min(core[2] for core in live)
+                if wake > now + 1:
+                    now = wake - 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return outs
 
 
 class Processor:
@@ -131,51 +198,33 @@ class Processor:
         """Simulate the dynamic stream to completion and return the result.
 
         Binds the five stage components to a fresh :class:`CoreState`
-        and steps cycles to completion through one of three
-        composition modes of the *same* stage sources:
-
-        - the **specialized** kernel (default): the fused source with
-          this config's scalars constant-folded in and dead policy
-          arms deleted, compiled once per machine description
-          (:mod:`repro.core.stages.specialize`);
-        - the **generic fused** kernel (``REPRO_GENERIC_KERNEL=1``, or
-          the fallback when specialization finds nothing to fold): the
-          stage tick bodies spliced into a single generated function,
-          compiled once per process (:mod:`repro.core.stages.compose`)
-          — one frame, no per-tick call overhead;
-        - the **portable** kernel (``REPRO_PORTABLE_KERNEL=1``): plain
-          closure calls per tick, the shape the stage interface
-          contract is written against, kept as the debuggable
-          cross-check (``tests/core/test_kernel_compose.py`` and
-          ``tests/core/test_kernel_specialize.py`` pin all three
-          bit-identical).
+        and steps this config's specialized cycle generator
+        (:func:`repro.core.stages.specialize.kernel_for`) to completion
+        with :func:`step_cores` — a solo run is the one-core case of a
+        mix.
         """
+        from repro.core.stages.specialize import kernel_for
+
         total = len(insts)
         limit = total * 80 + 1000
         state = CoreState(self, insts)
-        env_get = os.environ.get
-        if env_get("REPRO_PORTABLE_KERNEL", "") not in ("", "0"):
-            (now, committed_total, index, shares, exceeded,
-             n_skip_rob_full) = self._portable_kernel(state, insts)
-        else:
-            kernel = None
-            if env_get("REPRO_GENERIC_KERNEL", "") in ("", "0"):
-                # Default: the per-config specialized kernel (config
-                # scalars constant-folded, dead policy arms deleted),
-                # compiled once per machine description and kept warm
-                # for the life of the process.  Falls back to the
-                # generic composed kernel when specialization finds
-                # nothing to fold.
-                from repro.core.stages.specialize import kernel_for
-                kernel = kernel_for(self, state)
-            if kernel is None:
-                from repro.core.stages.compose import fused_kernel
-                kernel = fused_kernel()
-            (now, committed_total, index, shares, exceeded,
-             n_skip_rob_full) = kernel(self, state)
-        if exceeded:
+        kernel = kernel_for(self, state)
+        (out,) = step_cores([kernel(self, state, limit)], limit)
+        if out[4]:
             raise SimulationError(
-                self._livelock_report(limit, total, index))
+                self._livelock_report(limit, total, out[2]))
+        return self._result(out, total, workload_name)
+
+    def _result(self, out: tuple, total: int,
+                workload_name: str) -> SimResult:
+        """Fold a kernel's result tuple into the counters.
+
+        *out* is ``(now, committed, index, shares, exceeded,
+        n_skip_rob_full)`` as both kernels return it; ``now`` is the
+        cycle the run finished.  Shared by solo runs, every core of a
+        mix, and the portable oracle's tests.
+        """
+        now, _committed, _index, shares, _exceeded, n_skip_rob_full = out
         counters = self.counters
         if n_skip_rob_full:
             shares["stall.rob_full"] = (
@@ -189,18 +238,19 @@ class Processor:
         counters.set("cycles", now)
         counters.set("instructions", total)
         return SimResult(self.config.notation(), workload_name,
-                         now, total, self.counters)
+                         now, total, counters)
 
     def _portable_kernel(self, state: CoreState,
                          insts: Sequence[DynInst]):
-        """The call-composed kernel loop.
+        """The call-composed kernel loop: the hand-written oracle.
 
         Steps cycles calling each stage's bound tick behind its
         activity guard, with the per-cycle scalars (port budgets, ROB
         occupancy, dispatch index, unserviced-load counts) owned here
         and threaded through tick arguments/returns.  Returns the
-        kernel scalars and the merged finish() shares; the caller
-        applies them (shared with the fused kernel's epilogue).
+        kernel result tuple, which :meth:`_result` folds into the
+        counters.  No run selects it; the kernel-equivalence tests call
+        it directly and pin the generated kernel to it.
         """
         total = len(insts)
         index = 0

@@ -1,4 +1,4 @@
-"""Bind-time composition: splice the stage ticks into one fused kernel.
+"""Bind-time composition: splice the stage ticks into one cycle kernel.
 
 The stage modules are the single source of truth for the timing model —
 each owns its prologue (the working-set bindings at the top of
@@ -14,13 +14,25 @@ fused-loop ancestor this refactor decomposed.
 This module recovers that loss without giving up the decomposition: it
 extracts each stage's prologue and tick body *from the stage source*
 (``ast`` + source-line slicing, so the modules stay ordinary readable
-Python) and splices them into one generated run function — every stage
-guard and body inline in a single frame, exactly the shape of the
-fused ancestor — compiled once per process and shared by every
-``Processor.run``.  The golden equivalence suite pins the fused kernel
-to the seed reference bit-identically, and
-``tests/core/test_kernel_compose.py`` pins it to the portable kernel
-across policies, so the two composition modes cannot drift apart.
+Python) and splices them into the source of one generated function —
+every stage guard and body inline in a single frame, exactly the shape
+of the fused ancestor.  :mod:`repro.core.stages.specialize` folds a
+machine's config constants into that source and compiles it, and the
+result is the only kernel solo runs and mixes execute.
+
+The generated function is a **per-core cycle generator**,
+``_fused_run(self, state, limit)``.  Its loop head is ``now = yield
+wake``: the driver (:func:`repro.core.processor.step_cores`) sends the
+cycle to simulate, and the generator answers with the earliest cycle it
+next needs to run — the cycle skip sets ``wake`` to the next scheduled
+event instead of advancing a clock of its own.  On completion (every
+instruction committed, or ``now`` past ``limit``) it writes its state
+back, runs every stage's ``finish`` and returns ``(now, committed,
+index, shares, exceeded, n_skip_rob_full)``, the tuple
+:meth:`Processor._portable_kernel` also returns.  The golden equivalence
+suite pins the kernel to the seed reference bit-identically, and
+``tests/core/test_kernel_specialize.py`` pins it to the portable kernel
+across configs and policies, so the two compositions cannot drift apart.
 
 Splicing rules the stage modules must follow (enforced here, loudly):
 
@@ -40,8 +52,7 @@ Splicing rules the stage modules must follow (enforced here, loudly):
 from __future__ import annotations
 
 import ast
-import gc as _gc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.stages import commit as commit_stage
 from repro.core.stages import dispatch as dispatch_stage
@@ -177,15 +188,15 @@ def _stage_parts(module, key: str, positional: Tuple[str, ...],
 
 
 # The kernel skeleton.  ``{...}`` slots receive the spliced stage text;
-# everything else mirrors Processor._portable_kernel line for line (the
-# cross-kernel equivalence test keeps them honest).
+# everything else mirrors Processor._portable_kernel line for line, except
+# that the clock belongs to the driver (the cross-kernel equivalence test
+# keeps them honest).
 _KERNEL_TEMPLATE = """\
-def _fused_run(self, state):
+def _fused_run(self, state, limit):
     insts = state.insts
 {prologues}
     # ---- kernel-owned scalars ----------------------------------------
     index = 0
-    limit = total * 80 + 1000
     rob_count = len(rob_entries)
     lsq_unserviced = lsq.unserviced_loads
     lvaq_unserviced = lvaq.unserviced_loads
@@ -201,12 +212,10 @@ def _fused_run(self, state):
     committed_total = self._committed
     n_skip_rob_full = 0
     exceeded = False
-    _gc_was_enabled = gc.isenabled()
-    if _gc_was_enabled:
-        gc.disable()
+    wake = 0
     try:
         while committed_total < total:
-            now += 1
+            now = yield wake
             if now > limit:
                 exceeded = True
                 break
@@ -273,10 +282,8 @@ def _fused_run(self, state):
                 if target > now + 1:
                     if index < total:
                         n_skip_rob_full += target - now - 1
-                    now = target - 1
+                    wake = target
     finally:
-        if _gc_was_enabled:
-            gc.enable()
         self.now = now
         self._committed = committed_total
         lsq.unserviced_loads = lsq_unserviced
@@ -317,7 +324,7 @@ def _fused_run(self, state):
 
 
 def compose_source() -> str:
-    """Build the fused kernel source from the five stage modules."""
+    """Build the cycle-generator source from the five stage modules."""
     lines_cache: Dict[str, List[str]] = {}
     prologue_lines: List[str] = []
     seen: Dict[str, str] = {}
@@ -361,29 +368,3 @@ def compose_source() -> str:
         fin_names=", ".join(fin_names),
     )
 
-
-_KERNEL = None
-_SOURCE: Optional[str] = None
-
-
-def fused_kernel():
-    """The composed run function, compiled once per process."""
-    global _KERNEL, _SOURCE
-    if _KERNEL is None:
-        _SOURCE = compose_source()
-        # The exec globals are the union of the stage modules' globals,
-        # so every module-level name a spliced body uses (heappush,
-        # MASK, LATENCY_BY_INT, GATE_IMISS, RobEntry, ...) resolves to
-        # the very same objects the portable ticks close over — in-place
-        # patches (e.g. the golden harness's latency perturbation) stay
-        # visible to both kernels.
-        g: Dict[str, object] = {}
-        for module, _key, _pos in _STAGES:
-            g.update(vars(module))
-        from repro.core.stages.state import RING
-        g["RING"] = RING
-        g["gc"] = _gc
-        code = compile(_SOURCE, "<repro.core.stages.compose>", "exec")
-        exec(code, g)
-        _KERNEL = g["_fused_run"]
-    return _KERNEL

@@ -1,6 +1,6 @@
 """Per-config kernel specialization: constant-fold the bound machine.
 
-The composed kernel (:mod:`repro.core.stages.compose`) is generic over
+The composed source (:mod:`repro.core.stages.compose`) is generic over
 every :class:`~repro.core.config.MachineConfig`: issue width, ROB and
 queue sizes, port policies, the LVAQ on/off switch and the frontend
 policy are all read from run-constant locals, and the hot loop branches
@@ -18,9 +18,11 @@ expressions, and ``if`` statements whose test folded to a constant
 contains no LVAQ walk at all, a ``perfect``-frontend kernel no gate
 bookkeeping).  The result is compiled once per machine description and
 cached for the life of the process, so `repro.runtime` workers keep
-specialized kernels warm across jobs.
+specialized kernels warm across jobs.  Every solo run and every core of
+a mix executes the kernel built here; a config with nothing to fold
+still gets one (the source compiles unchanged).
 
-Safety rules (violating code falls back to the generic kernel):
+Safety rules (what the folder refuses to touch):
 
 - only names in :data:`CONST_NAMES` are folded, and only when the name
   is stored exactly once in the whole kernel and its value is a plain
@@ -37,31 +39,26 @@ Safety rules (violating code falls back to the generic kernel):
   cross-kernel equivalence suite).
 
 Cache keying: ``(kernel code salt, canonical describe_machine JSON)``.
-The code salt hashes the composed generic source plus this module, so
+The code salt hashes the composed source plus this module, so
 editing any stage or the folding rules invalidates every entry; the
 machine description includes ``CONFIG_SCHEMA_VERSION``, so a schema
 bump does too.  ``repro-cc perf --emit-kernel <config>`` dumps the
 generated source for inspection.
 
-Bit-identity is enforced the same way as for the generic kernel:
-``tests/core/test_kernel_specialize.py`` pins specialized == portable
-across the golden workload×config matrix, and the golden harness pins
-both to the frozen seed reference.
+Bit-identity: ``tests/core/test_kernel_specialize.py`` pins
+specialized == portable across the golden workload×config matrix and
+the port/frontend policies, and the golden harness pins both to the
+frozen seed reference.
 """
 
 from __future__ import annotations
 
 import ast
-import gc as _gc
 import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.stages.compose import _STAGES, compose_source
-
-
-class SpecializeError(RuntimeError):
-    """The composed source could not be soundly specialized."""
 
 
 #: Config-only scalars the folder may substitute.  Everything else —
@@ -249,24 +246,25 @@ class _Folder(ast.NodeTransformer):
 
 
 def _stage_globals() -> Dict[str, Any]:
-    """The same exec-globals union the generic fused kernel uses."""
+    """Exec globals for the kernel: the union of the stage modules'.
+
+    Every module-level name a spliced body uses (heappush, MASK,
+    LATENCY_BY_INT, GATE_IMISS, RobEntry, ...) resolves to the very same
+    objects the portable ticks close over, so in-place patches (e.g. the
+    golden harness's latency perturbation) stay visible to both kernels.
+    """
     g: Dict[str, Any] = {}
     for module, _key, _pos in _STAGES:
         g.update(vars(module))
     from repro.core.stages.state import RING
     g["RING"] = RING
-    g["gc"] = _gc
     return g
 
 
 def specialize_source(processor, state) -> str:
     """Build the specialized kernel source for ``processor.config``."""
-    source = compose_source()
-    tree = ast.parse(source)
+    tree = ast.parse(compose_source())
     fn = tree.body[0]
-    if not isinstance(fn, ast.FunctionDef):  # pragma: no cover
-        raise SpecializeError("composed source is not a function")
-
     genv = _stage_globals()
     values = _prologue_values(fn, processor, state, genv)
     stores = _single_store_names(fn)
@@ -285,8 +283,6 @@ def specialize_source(processor, state) -> str:
     if (processor.config.frontend.policy == "perfect"
             and stores.get("gates") == 1):
         const_map["gates"] = None
-    if not const_map:
-        raise SpecializeError("no foldable config constants found")
 
     folded = _Folder(const_map).visit(tree)
     ast.fix_missing_locations(folded)
@@ -298,8 +294,8 @@ def specialize_source(processor, state) -> str:
 
 # ---------------------------------------------------------------- cache
 
-#: machine-description key -> (kernel, source) | (None, None) fallback.
-_CACHE: Dict[str, Tuple[Optional[Any], Optional[str]]] = {}
+#: machine-description key -> (kernel, source).
+_CACHE: Dict[str, Tuple[Any, str]] = {}
 #: Compilation counter, exposed for the cache tests.
 compile_count = 0
 
@@ -307,7 +303,7 @@ _SALT: Optional[str] = None
 
 
 def kernel_salt() -> str:
-    """Hash of the generic composed source plus the folding rules."""
+    """Hash of the composed source plus the folding rules."""
     global _SALT
     if _SALT is None:
         h = hashlib.sha256()
@@ -335,27 +331,23 @@ def clear_cache() -> None:
 
 
 def kernel_for(processor, state):
-    """The specialized kernel for ``processor.config``, or ``None``.
+    """The specialized cycle generator for ``processor.config``.
 
     Compiles at most once per ``(code salt, machine description)`` for
-    the life of the process; a config whose source cannot be soundly
-    specialized caches a ``None`` fallback so the generic kernel is
-    used without retrying the analysis every run.
+    the life of the process.  Call the result as ``kernel(processor,
+    state, limit)`` and step it with
+    :func:`repro.core.processor.step_cores`.
     """
     global compile_count
     key = cache_key(processor.config)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit[0]
-    try:
-        src = specialize_source(processor, state)
-        code = compile(src, "<repro.core.stages.specialize>", "exec")
-        g = _stage_globals()
-        exec(code, g)
-        kernel = g["_fused_run"]
-        compile_count += 1
-    except SpecializeError:
-        kernel = src = None
+    src = specialize_source(processor, state)
+    g = _stage_globals()
+    exec(compile(src, "<repro.core.stages.specialize>", "exec"), g)
+    kernel = g["_fused_run"]
+    compile_count += 1
     _CACHE[key] = (kernel, src)
     return kernel
 

@@ -1,89 +1,17 @@
-"""The fused kernel must be bit-identical to the portable kernel.
+"""The composer splices the stage sources into valid kernel source.
 
-``Processor.run`` composes the five stage modules in one of two ways:
-the default **fused** kernel (``repro.core.stages.compose`` splices the
-tick bodies into one generated function) and the **portable** kernel
-(plain closure calls, selected with ``REPRO_PORTABLE_KERNEL=1``).  Both
-are built from the same stage sources, so any divergence is a composer
-bug; these tests pin the two to exact cycle counts and exact counter
-values across port-arbitration and frontend policies, on real workload
-traces.
-
-The composer itself is also exercised structurally: it must refuse a
-stage whose tick violates the splicing rules (mid-body return,
+``repro.core.stages.compose`` extracts each stage's prologue, tick body
+and finish accounting from the stage modules and splices them into the
+source of one cycle generator, which ``repro.core.stages.specialize``
+constant-folds and compiles.  Its bit-identity with the portable kernel
+is pinned in ``test_kernel_specialize.py``; here the composer itself is
+exercised structurally: the source it builds must parse, and it must
+refuse a stage whose tick violates the splicing rules (mid-body return,
 non-identity default), because a silent mis-splice would surface as a
 subtly wrong timing model.
 """
 
-import os
-
 import pytest
-
-from repro.core.config import MachineConfig
-from repro.core.processor import Processor
-from repro.workloads.builder import build_trace
-
-
-def _insts(name="099.go", length=12000):
-    trace = build_trace(name, length)
-    return trace.insts if hasattr(trace, "insts") else list(trace)
-
-
-def _run(config, insts, portable):
-    old = os.environ.get("REPRO_PORTABLE_KERNEL")
-    os.environ["REPRO_PORTABLE_KERNEL"] = "1" if portable else "0"
-    try:
-        result = Processor(config).run(insts, "compose-test")
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_PORTABLE_KERNEL", None)
-        else:
-            os.environ["REPRO_PORTABLE_KERNEL"] = old
-    return result
-
-
-def _counters(result):
-    return result.counters.as_dict()
-
-
-def _config(ports=None, frontend=None, **decouple):
-    config = MachineConfig.baseline()
-    if ports:
-        config.mem.l1_port_policy = ports
-        config.mem.lvc_port_policy = ports
-    if frontend:
-        config.frontend.policy = frontend
-    for key, value in decouple.items():
-        setattr(config.decouple, key, value)
-    return config
-
-
-CASES = [
-    ("default", lambda: _config()),
-    ("finite-ports", lambda: _config(ports="finite")),
-    ("gshare", lambda: _config(frontend="gshare")),
-    ("finite+gshare", lambda: _config(ports="finite", frontend="gshare")),
-    ("combining", lambda: _config(fast_forwarding=True, combining=4)),
-]
-
-
-@pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
-def test_fused_matches_portable(name, make):
-    insts = _insts()
-    fused = _run(make(), insts, portable=False)
-    portable = _run(make(), insts, portable=True)
-    assert fused.cycles == portable.cycles
-    assert _counters(fused) == _counters(portable)
-
-
-def test_fused_matches_portable_second_workload():
-    insts = _insts("126.gcc")
-    fused = _run(_config(ports="finite", frontend="gshare"), insts,
-                 portable=False)
-    portable = _run(_config(ports="finite", frontend="gshare"), insts,
-                    portable=True)
-    assert fused.cycles == portable.cycles
-    assert _counters(fused) == _counters(portable)
 
 
 def test_compose_source_is_valid_python():

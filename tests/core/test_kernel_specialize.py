@@ -6,25 +6,25 @@ compiled function per ``(code salt, machine description)``.  These
 tests pin the cache contract — one compile per config, invalidation on
 code-salt and config-schema changes — and the only property that makes
 the whole scheme admissible: specialized output is bit-identical to
-the portable kernel across the golden workload×config matrix.
+the portable kernel (:meth:`Processor._portable_kernel`, called
+directly) across the golden workload×config matrix and the port and
+frontend policies.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro.core.config import MachineConfig
 from repro.core.processor import Processor
 from repro.core.stages import specialize
+from repro.core.stages.state import CoreState
 from repro.perf.golden import GOLDEN_CONFIGS, diff_results, golden_config
+from repro.workloads.builder import build_trace
 
 
 @pytest.fixture(autouse=True)
-def _specialized_mode(monkeypatch):
-    """Force the default (specialized) kernel path and a cold cache."""
-    monkeypatch.delenv("REPRO_PORTABLE_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_GENERIC_KERNEL", raising=False)
+def _cold_cache():
     specialize.clear_cache()
     yield
     specialize.clear_cache()
@@ -32,6 +32,13 @@ def _specialized_mode(monkeypatch):
 
 def _run(config, trace, name="130.li"):
     return Processor(config).run(trace.insts, name)
+
+
+def _portable(config, insts, name):
+    """The same run through the hand-written portable kernel."""
+    processor = Processor(config)
+    out = processor._portable_kernel(CoreState(processor, insts), insts)
+    return processor._result(out, len(insts), name)
 
 
 def test_same_config_compiles_once(small_li_trace):
@@ -95,24 +102,56 @@ def test_emit_source_without_a_run():
 
 @pytest.mark.parametrize("notation", [name for name, _kw in GOLDEN_CONFIGS])
 def test_specialized_matches_portable_on_golden_matrix(
-        notation, small_li_trace, monkeypatch):
+        notation, small_li_trace):
     """cycles + instructions + full counter dict, per golden config."""
-    config = golden_config(notation)
-    specialized = _run(config, small_li_trace)
-    monkeypatch.setenv("REPRO_PORTABLE_KERNEL", "1")
-    portable = _run(golden_config(notation), small_li_trace)
+    specialized = _run(golden_config(notation), small_li_trace)
+    portable = _portable(golden_config(notation), small_li_trace.insts,
+                         "130.li")
     assert diff_results("130.li", notation, portable, specialized) == []
 
 
-def test_specialized_matches_portable_second_workload(
-        small_vortex_trace, monkeypatch):
-    config = golden_config("2+2:opt")
-    specialized = _run(config, small_vortex_trace, "147.vortex")
-    monkeypatch.setenv("REPRO_PORTABLE_KERNEL", "1")
-    portable = _run(golden_config("2+2:opt"), small_vortex_trace,
-                    "147.vortex")
+def test_specialized_matches_portable_second_workload(small_vortex_trace):
+    specialized = _run(golden_config("2+2:opt"), small_vortex_trace,
+                       "147.vortex")
+    portable = _portable(golden_config("2+2:opt"),
+                         small_vortex_trace.insts, "147.vortex")
     assert diff_results("147.vortex", "2+2:opt", portable,
                         specialized) == []
+
+
+def _policy_config(ports=None, frontend=None, **decouple):
+    config = MachineConfig.baseline()
+    if ports:
+        config.mem.l1_port_policy = ports
+        config.mem.lvc_port_policy = ports
+    if frontend:
+        config.frontend.policy = frontend
+    for key, value in decouple.items():
+        setattr(config.decouple, key, value)
+    return config
+
+
+#: (id, workload, policy settings): contended ports, the gshare
+#: frontend and a wider combining window, on 12k-instruction traces.
+POLICY_CASES = [
+    ("default", "099.go", {}),
+    ("finite-ports", "099.go", dict(ports="finite")),
+    ("gshare", "099.go", dict(frontend="gshare")),
+    ("finite+gshare", "099.go", dict(ports="finite", frontend="gshare")),
+    ("combining", "099.go", dict(fast_forwarding=True, combining=4)),
+    ("finite+gshare-126.gcc", "126.gcc",
+     dict(ports="finite", frontend="gshare")),
+]
+
+
+@pytest.mark.parametrize("workload,policy",
+                         [case[1:] for case in POLICY_CASES],
+                         ids=[case[0] for case in POLICY_CASES])
+def test_specialized_matches_portable_on_policies(workload, policy):
+    insts = build_trace(workload, 12000).insts
+    specialized = Processor(_policy_config(**policy)).run(insts, workload)
+    portable = _portable(_policy_config(**policy), insts, workload)
+    assert diff_results(workload, "policy", portable, specialized) == []
 
 
 def test_cli_emit_kernel(capsys):

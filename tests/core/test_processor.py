@@ -210,3 +210,34 @@ def test_wider_issue_helps_or_equal(small_li_trace):
     a = Processor(narrow).run(small_li_trace.insts, "li")
     b = Processor(wide).run(small_li_trace.insts, "li")
     assert b.cycles <= a.cycles
+
+
+def _fake_core(log, name, finish_at, sleep_to=0, limit=20):
+    """A stand-in cycle generator with the kernel's protocol: it logs
+    each cycle it is sent, asks to sleep until *sleep_to* after every
+    step, and returns at *finish_at* or past *limit*."""
+    wake = 0
+    while True:
+        now = yield wake
+        if now > limit:
+            return (now, name, 0, {}, True, 0)
+        log.append((now, name))
+        if now == finish_at:
+            return (now, name, 0, {}, False, 0)
+        wake = sleep_to
+
+
+def test_step_cores_lockstep_wake_and_limit():
+    from repro.core.processor import step_cores
+
+    log = []
+    outs = step_cores([_fake_core(log, "a", finish_at=3),
+                       _fake_core(log, "b", finish_at=-1, sleep_to=15)],
+                      limit=20)
+    # Core order within a cycle; b sleeps to 15 once, then every later
+    # step asks for a cycle already past, so it runs each cycle.
+    assert log[:5] == [(1, "a"), (1, "b"), (2, "a"), (3, "a"), (15, "b")]
+    assert log[5:] == [(t, "b") for t in range(16, 21)]
+    assert outs[0] == (3, "a", 0, {}, False, 0)
+    # Past the limit, the live core is sent one last cycle and stops.
+    assert outs[1] == (21, "b", 0, {}, True, 0)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from repro.core.multicore import run_mix
@@ -13,16 +17,61 @@ from repro.trace.mix import (
     MixResult,
     run_mix_jobs,
 )
+from repro.workloads.builder import build_trace
+
+MIX_DIGESTS = os.path.join(os.path.dirname(__file__), "mix_digests.json")
 
 
 def test_one_program_mix_is_bit_identical(small_li_trace):
     """A 1-program mix must reproduce the solo run exactly — the shared
-    hierarchy with one core attached is the solo hierarchy."""
-    for name, _kwargs in GOLDEN_CONFIGS:
-        config = golden_config(name)
-        solo = Processor(config).run(small_li_trace.insts, "130.li")
-        (mixed,) = run_mix([("130.li", small_li_trace.insts)], config)
-        assert diff_results("130.li", name, solo, mixed) == []
+    hierarchy with one core attached is the solo hierarchy.  An empty
+    trace finishes at cycle 0 either way."""
+    for insts in (small_li_trace.insts, []):
+        for name, _kwargs in GOLDEN_CONFIGS:
+            config = golden_config(name)
+            solo = Processor(config).run(insts, "130.li")
+            (mixed,) = run_mix([("130.li", insts)], config)
+            assert diff_results("130.li", name, solo, mixed) == []
+    assert mixed.cycles == 0
+
+
+def _mix_digest(results):
+    records = [{"config": r.config_name, "workload": r.workload_name,
+                "cycles": r.cycles, "instructions": r.instructions,
+                "counters": r.counters.as_dict()} for r in results]
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _finite_gshare():
+    config = golden_config("2+2:opt")
+    config.mem.l1_port_policy = "finite"
+    config.mem.lvc_port_policy = "finite"
+    config.frontend.policy = "gshare"
+    return config
+
+
+def test_mix_digests_are_pinned(small_li_trace, small_vortex_trace):
+    """Multi-program mixes match digests recorded from the hand-written
+    lockstep loop the generated kernel replaced (``mix_digests.json``):
+    two programs on every golden config and on contended ports with the
+    gshare frontend, and one three-program mix."""
+    with open(MIX_DIGESTS, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    pair = [("130.li", small_li_trace.insts),
+            ("147.vortex", small_vortex_trace.insts)]
+    compress = build_trace("129.compress", length=8_000, seed=7)
+    mixes = {f"130.li+147.vortex@{name}": (pair, golden_config(name))
+             for name, _kwargs in GOLDEN_CONFIGS}
+    mixes["130.li+147.vortex@2+2:opt/finite+gshare"] = (
+        pair, _finite_gshare())
+    mixes["130.li+147.vortex+129.compress@2+2:opt"] = (
+        pair + [("129.compress", compress.insts)], golden_config("2+2:opt"))
+    assert set(mixes) == set(expected)
+    for key, (traces, config) in mixes.items():
+        results = run_mix(traces, config)
+        assert [r.cycles for r in results] == expected[key]["cycles"], key
+        assert _mix_digest(results) == expected[key]["digest"], key
 
 
 def test_two_program_mix_interferes(small_li_trace, small_vortex_trace,
