@@ -218,6 +218,7 @@ def cmd_perf(args) -> int:
         compare=not args.no_compare,
         replay=args.replay,
         min_repeat=args.min_repeat,
+        vm=args.vm,
     )
     print(bench.format_report(report))
     if args.output:
@@ -630,6 +631,10 @@ def make_parser() -> argparse.ArgumentParser:
     perf_p.add_argument("--replay", action="store_true",
                         help="also benchmark trace replay vs "
                              "execution-driven simulation")
+    perf_p.add_argument("--vm", action="store_true",
+                        help="also benchmark the functional VM against "
+                             "the frozen interpreter on the mini-C "
+                             "programs")
     perf_p.add_argument("--output", metavar="PATH",
                         help="write BENCH_core.json here")
     perf_p.add_argument("--check", metavar="BASELINE",

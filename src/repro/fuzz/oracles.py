@@ -7,7 +7,12 @@
     contents are deliberately excluded — allocation differs between the
     two builds — so this is exactly the state a correct compiler must
     preserve.  This is the oracle that catches constant-folding
-    miscompiles.
+    miscompiles.  Its VM mode reruns both builds on the frozen
+    per-instruction :class:`repro.vm.reference.ReferenceMachine` and
+    requires the block-translating VM to match it exactly: registers,
+    memory words, pc, output, exit code and instruction count, plus the
+    ``encode_trace`` SHA-256 and every trace statistic of the (traced)
+    optimized build — the -O0 build covers the untraced translation.
 
 ``timing``
     Run the timing core over the optimized build's trace and check the
@@ -58,6 +63,7 @@ from repro.core.processor import Processor
 from repro.errors import ReproError
 from repro.lang import CompilerOptions, compile_source
 from repro.vm.machine import Machine
+from repro.vm.reference import ReferenceMachine, machine_state
 
 #: Every oracle, in the order campaigns run them.
 ALL_ORACLES = ("opt", "timing", "golden", "analyze", "replay", "tv")
@@ -145,6 +151,21 @@ def check_opt(vm_opt: Machine, vm_noopt: Machine) -> List[Divergence]:
                 "opt", f"global {gname!r} ends as {mem_opt.get(gname)} "
                        f"(optimized) vs {mem_noopt.get(gname)} (-O0)"))
     return out
+
+
+def check_vm(vm: Machine, max_instructions: int) -> List[Divergence]:
+    """``opt`` oracle, VM mode: the translated machine vs the interpreter."""
+    ref = ReferenceMachine(vm.program, trace=vm.trace is not None)
+    try:
+        ref.run(max_instructions=max_instructions)
+    except ReproError as exc:
+        return [Divergence("opt", f"reference interpreter faulted where "
+                                  f"the translated VM did not: {exc}")]
+    want, got = machine_state(ref), machine_state(vm)
+    return [Divergence("opt", f"translated VM {key} "
+                              f"{_clip(repr(got.get(key)))} != reference "
+                              f"interpreter {_clip(repr(want[key]))}")
+            for key in want if got.get(key) != want[key]]
 
 
 def check_timing(vm: Machine, config: MachineConfig,
@@ -317,8 +338,9 @@ def run_oracles(
         if oracle not in ALL_ORACLES:
             raise ReproError(f"unknown oracle {oracle!r}; "
                              f"expected one of {ALL_ORACLES}")
-    need_trace = ("timing" in oracles or "golden" in oracles
-                  or "analyze" in oracles or "replay" in oracles)
+    need_trace = ("opt" in oracles or "timing" in oracles
+                  or "golden" in oracles or "analyze" in oracles
+                  or "replay" in oracles)
     vm_opt = _run(source, name, optimize=True, trace=need_trace,
                   max_instructions=max_instructions)
     if vm_opt.exit_code == -1:
@@ -335,6 +357,8 @@ def run_oracles(
                           f"{max_instructions} instructions"))
         else:
             divergences.extend(check_opt(vm_opt, vm_noopt))
+        for vm in (vm_opt, vm_noopt):
+            divergences.extend(check_vm(vm, max_instructions))
     if ("timing" in oracles or "golden" in oracles
             or "replay" in oracles):
         machine_config = config if config is not None else default_config()

@@ -3,6 +3,9 @@
 Measures simulated-instructions-per-second of the optimized
 :class:`repro.core.processor.Processor` and, optionally, of the frozen
 seed core, reporting the speedup ratio the performance work is judged by.
+Optional lanes time trace replay (``--replay``) and the functional VM
+(``--vm``: the block-translating :class:`repro.vm.machine.Machine`
+against the frozen :class:`repro.vm.reference.ReferenceMachine`).
 
 Methodology notes, learned the hard way on shared hardware:
 
@@ -143,6 +146,7 @@ def run_benchmark(
     compare: bool = True,
     replay: bool = False,
     min_repeat: int = 0,
+    vm: bool = False,
 ) -> Dict:
     """Full benchmark sweep; returns the BENCH_core.json document.
 
@@ -195,7 +199,72 @@ def run_benchmark(
             workloads=workloads, config=config, config_name=config_name,
             length=length, seed=seed, warmup=warmup, repeat=repeat,
             min_repeat=min_repeat)
+    if vm:
+        report["vm"] = bench_vm(length=length, warmup=warmup, repeat=repeat,
+                                min_repeat=min_repeat)
     return report
+
+
+def bench_vm(
+    length: int = DEFAULT_LENGTH,
+    warmup: int = 1,
+    repeat: int = 3,
+    min_repeat: int = 0,
+) -> Dict:
+    """Functional throughput of the VM on the 8 mini-C programs.
+
+    Each program (default optimization level) runs traced for at most
+    *length* instructions on a fresh :class:`~repro.vm.machine.Machine`
+    and a fresh frozen :class:`~repro.vm.reference.ReferenceMachine`,
+    interleaved per round; machine construction is timed with the run.
+    After the warmup round the translated blocks are cache hits, as in
+    a sweep that runs the same program again.  ``ratio`` is reference
+    time over translated time.
+    """
+    from repro.lang import compile_source
+    from repro.vm.machine import Machine
+    from repro.vm.reference import ReferenceMachine
+    from repro.workloads.minic import MINIC_PROGRAMS, minic_source
+
+    repeat = max(repeat, min_repeat)
+    entries = []
+    for name in sorted(MINIC_PROGRAMS):
+        program = compile_source(minic_source(name))
+        lanes: Dict[str, List[int]] = {"machine": [], "reference": []}
+        n_insts = 0
+        for round_ in range(warmup + repeat):
+            for lane, cls in (("machine", Machine),
+                              ("reference", ReferenceMachine)):
+                t0 = perf_counter_ns()
+                vm = cls(program, trace=True)
+                vm.run(max_instructions=length)
+                elapsed = perf_counter_ns() - t0
+                n_insts = vm.instructions_executed
+                if round_ >= warmup:
+                    lanes[lane].append(elapsed)
+        entry = {"workload": name, "instructions": n_insts}
+        for lane, samples in lanes.items():
+            best = min(samples)
+            entry[lane] = {"best_ns": best,
+                           "trimmed_mean_ns": trimmed_mean(samples),
+                           "kips": round(n_insts / best * 1e6, 1)}
+        entry["ratio"] = round(entry["reference"]["best_ns"]
+                               / entry["machine"]["best_ns"], 3)
+        entries.append(entry)
+
+    total_insts = sum(e["instructions"] for e in entries)
+    total_machine = sum(e["machine"]["best_ns"] for e in entries)
+    total_reference = sum(e["reference"]["best_ns"] for e in entries)
+    return {
+        "length": length,
+        "workloads": entries,
+        "aggregate": {
+            "instructions": total_insts,
+            "kips": round(total_insts / total_machine * 1e6, 1),
+            "reference_kips": round(total_insts / total_reference * 1e6, 1),
+            "ratio": round(total_reference / total_machine, 3),
+        },
+    }
 
 
 def bench_replay(
@@ -344,20 +413,19 @@ def check_regression(current: Dict, baseline: Dict,
             f"aggregate throughput regressed: {cur_kips:.0f} kips vs "
             f"baseline {base_kips:.0f} kips "
             f"(floor {floor:.0f} at {tolerance:.0%} tolerance)")
-    # The replay lanes are gated too whenever both reports carry them,
-    # so the fast path cannot silently regress while execution-driven
-    # throughput holds.
-    base_replay = baseline.get("replay", {}).get("aggregate", {})
-    cur_replay = current.get("replay", {}).get("aggregate", {})
-    for lane in ("replay_kips", "replay_fast_kips"):
-        base_lane = base_replay.get(lane)
-        cur_lane = cur_replay.get(lane)
+    # The replay and vm lanes are gated too whenever both reports carry
+    # them, so no lane can silently regress while the kernel holds.
+    for section, lane, label in (("replay", "replay_kips", "replay"),
+                                 ("replay", "replay_fast_kips", "replay_fast"),
+                                 ("vm", "kips", "vm")):
+        base_lane = baseline.get(section, {}).get("aggregate", {}).get(lane)
+        cur_lane = current.get(section, {}).get("aggregate", {}).get(lane)
         if not base_lane or not cur_lane:
             continue
         floor = base_lane * (1.0 - tolerance)
         if cur_lane < floor:
             failures.append(
-                f"{lane.replace('_kips', '')} throughput regressed: "
+                f"{label} throughput regressed: "
                 f"{cur_lane:.0f} kips vs baseline {base_lane:.0f} kips "
                 f"(floor {floor:.0f} at {tolerance:.0%} tolerance)")
     return failures
@@ -431,6 +499,20 @@ def format_report(report: Dict) -> str:
             f"({ragg['ratio']:.2f}x"
             + (f", fast {ragg['fast_ratio']:.2f}x"
                if "fast_ratio" in ragg else "") + ")")
+    vm = report.get("vm")
+    if vm:
+        lines.append("")
+        lines.append(f"{'vm':<16} {'insts':>8} {'vm kips':>10} "
+                     f"{'ref kips':>10} {'ratio':>8}")
+        for e in vm["workloads"]:
+            lines.append(
+                f"{e['workload']:<16} {e['instructions']:>8} "
+                f"{e['machine']['kips']:>10.1f} "
+                f"{e['reference']['kips']:>10.1f} {e['ratio']:>8.2f}")
+        vagg = vm["aggregate"]
+        lines.append(f"vm aggregate: {vagg['kips']:.1f} kips vs "
+                     f"{vagg['reference_kips']:.1f} reference "
+                     f"({vagg['ratio']:.2f}x)")
     return "\n".join(lines)
 
 

@@ -7,7 +7,7 @@ and faster).  Byte accesses are supported on integer-valued words only.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.errors import VmError
 from repro.utils import sign_extend, to_signed32
@@ -16,12 +16,16 @@ Word = Union[int, float]
 
 
 class SparseMemory:
-    """A dictionary-backed flat memory, zero-initialised."""
+    """A dictionary-backed flat memory, zero-initialised.
+
+    *words* seeds the memory with an address -> word dict, which the
+    memory then owns (callers pass a copy).
+    """
 
     __slots__ = ("_words",)
 
-    def __init__(self) -> None:
-        self._words: Dict[int, Word] = {}
+    def __init__(self, words: Optional[Dict[int, Word]] = None) -> None:
+        self._words: Dict[int, Word] = {} if words is None else words
 
     def load_word(self, addr: int) -> Word:
         """Read the aligned word containing *addr*."""
@@ -44,6 +48,8 @@ class SparseMemory:
 
     def load_byte(self, addr: int) -> int:
         """Read one byte, sign-extended to an int."""
+        if addr < 0:
+            raise VmError(f"negative address {addr:#x}")
         word = self._words.get(addr & ~3, 0)
         if isinstance(word, float):
             raise VmError(f"byte load from float-valued word at {addr:#x}")
@@ -52,6 +58,8 @@ class SparseMemory:
 
     def store_byte(self, addr: int, value: int) -> None:
         """Write one byte into its containing word."""
+        if addr < 0:
+            raise VmError(f"negative address {addr:#x}")
         base = addr & ~3
         word = self._words.get(base, 0)
         if isinstance(word, float):

@@ -118,3 +118,33 @@ def test_analyze_oracle_catches_unsound_hint_emission(monkeypatch):
     details = " ".join(d.detail for d in divergences)
     assert "hint.unsound-local" in details
     assert "hint.dynamic-unsound" in details
+
+
+def test_opt_oracle_checks_the_vm_against_the_interpreter(monkeypatch):
+    """VM mode: a translation bug the compiler comparison cannot see."""
+    from repro.isa.opcodes import Opcode
+    from repro.vm import translate
+
+    source = generate_program(SRA_SENSITIVE_SEED).source()
+    # Logical shifts for ``sra``/``srav`` in both builds: the architectural
+    # comparison of the two builds stays consistent, the interpreter not.
+    monkeypatch.setitem(translate._IALU, Opcode.SRAV,
+                        ("({a} & 0xFFFFFFFF) >> ({b} & 31)", "int"))
+    monkeypatch.setitem(translate._IALU, Opcode.SRA,
+                        ("({a} & 0xFFFFFFFF) >> {shift}", "int"))
+    translate.clear_cache()
+    try:
+        divergences = run_oracles(source, oracles=("opt",))
+        assert any("translated VM regs" in d.detail for d in divergences)
+        # Trace-only damage: the stack region is misclassified.
+        monkeypatch.undo()
+        monkeypatch.setattr(translate, "STACK_BASE",
+                            translate.STACK_BASE - 64)
+        translate.clear_cache()
+        divergences = run_oracles(source, oracles=("opt",))
+        details = [d.detail for d in divergences]
+        assert any("trace_sha256" in d for d in details)
+        assert any("stats.local_" in d for d in details)
+        assert all("regs" not in d for d in details)
+    finally:
+        translate.clear_cache()

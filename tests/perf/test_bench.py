@@ -118,6 +118,29 @@ def test_replay_lanes_and_regression_gate():
     assert failures and "replay_fast" in failures[0]
 
 
+def test_vm_lane_and_regression_gate():
+    r = bench.run_benchmark(workloads=["129.compress"], length=2_000,
+                            warmup=0, repeat=1, compare=False, vm=True)
+    entries = r["vm"]["workloads"]
+    assert len(entries) == 8
+    for entry in entries:
+        assert entry["instructions"] == 2_000
+        assert entry["machine"]["kips"] > 0
+        assert entry["reference"]["kips"] > 0
+    agg = r["vm"]["aggregate"]
+    assert agg["instructions"] == 16_000
+    assert agg["ratio"] > 1.0
+    assert "vm aggregate" in bench.format_report(r)
+    assert bench.check_regression(r, r) == []
+    slow = json.loads(json.dumps(r))
+    slow["vm"]["aggregate"]["kips"] = agg["kips"] / 10
+    failures = bench.check_regression(slow, r, tolerance=0.20)
+    assert failures and failures[0].startswith("vm throughput")
+    # A baseline without the lane does not gate it.
+    del slow["vm"]
+    assert bench.check_regression(r, slow) == []
+
+
 def test_format_report_renders(quick_report):
     text = bench.format_report(quick_report)
     assert "129.compress" in text

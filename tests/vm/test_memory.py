@@ -45,6 +45,13 @@ def test_negative_address_rejected():
     mem = SparseMemory()
     with pytest.raises(VmError):
         mem.load_word(-4)
+    with pytest.raises(VmError):
+        mem.store_word(-4, 1)
+    with pytest.raises(VmError, match="negative address"):
+        mem.load_byte(-1)
+    with pytest.raises(VmError, match="negative address"):
+        mem.store_byte(-1, 5)
+    assert mem.footprint_words() == 0
 
 
 def test_byte_access_within_word():

@@ -17,18 +17,27 @@ def test_program_compiles_and_exits_cleanly(name):
     assert trace.stats.instructions > 1000
 
 
+#: stdout and dynamic instruction count of each program at the default
+#: optimization level, recorded from the per-instruction interpreter.
+EXPECTED = {
+    'mini.compress': ('437551 479\n', 221241),
+    'mini.hashdb': ('911942\n', 164061),
+    'mini.linkedlist': ('261080\n', 44160),
+    'mini.matmul': ('42825\n', 241038),
+    'mini.qsort': ('29949\n', 316057),
+    'mini.stencil': ('2560578\n', 171427),
+    'mini.treesearch': ('105\n', 352224),
+    'mini.wordcount': ('336193\n', 329342),
+}
+
+
 def test_expected_checksums_stable():
     """Pin the checksums: any compiler/VM regression changes them."""
-    expected = {}
+    assert sorted(EXPECTED) == sorted(MINIC_PROGRAMS)
     for name in sorted(MINIC_PROGRAMS):
         vm, _ = run_program(compile_source(minic_source(name)),
                             max_instructions=2_000_000)
-        expected[name] = vm.stdout
-    # run twice: outputs must be identical (deterministic toolchain)
-    for name in sorted(MINIC_PROGRAMS):
-        vm, _ = run_program(compile_source(minic_source(name)),
-                            max_instructions=2_000_000)
-        assert vm.stdout == expected[name]
+        assert (vm.stdout, vm.instructions_executed) == EXPECTED[name], name
 
 
 def test_qsort_sorts():
