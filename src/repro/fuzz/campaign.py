@@ -19,6 +19,7 @@ from repro.fuzz.oracles import ALL_ORACLES, Divergence, run_oracles
 from repro.runtime.engine import EngineReport, JobEngine, ProgressFn
 from repro.runtime.registry import JobKind, register_kind
 from repro.runtime.signature import canonical_json, digest
+from repro.runtime.store import runtime_store
 
 #: Seeds per shard: large enough to amortize worker-process startup,
 #: small enough that a campaign of a few hundred seeds still fans out.
@@ -160,20 +161,6 @@ def make_shards(seed: int, count: int,
     return shards
 
 
-def fuzz_cache(cache_dir: Optional[str] = None):
-    """The campaign result store (None when caching is off).
-
-    Mirrors ``RuntimeSession``'s policy: an explicit directory wins, then
-    ``$REPRO_CACHE_DIR``, else no store — fuzzing stays side-effect-free
-    unless the caller opts in.  Fuzz shards share the sharded
-    :class:`repro.runtime.store.ResultStore` with every other job kind;
-    the registered ``result_type`` keeps families from cross-hitting.
-    """
-    from repro.runtime.store import runtime_store
-
-    return runtime_store(cache_dir)
-
-
 def run_campaign(
     seed: int = 0,
     count: int = 200,
@@ -196,10 +183,10 @@ def run_campaign(
     shards = make_shards(seed, count, shard_size=shard_size,
                          oracles=oracles, size=size,
                          max_instructions=max_instructions)
-    cache = None if no_cache else fuzz_cache(cache_dir)
+    cache = None if no_cache else runtime_store(cache_dir)
     engine = JobEngine(jobs=jobs, cache=cache, timeout=timeout,
                        progress=progress)
-    report = engine.run(shards, execute=execute_fuzz_job)
+    report = engine.run(shards)
     divergences: List[Divergence] = []
     for outcome in report.outcomes.values():
         if outcome.result is not None:

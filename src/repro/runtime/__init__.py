@@ -13,10 +13,8 @@ design-space-exploration driver on top.  The layers, bottom up:
   protocol (spec/execute/result/codec) for every family of work;
 * :mod:`repro.runtime.job`       — the :class:`SimJob`/:class:`MixJob`
   specs and the wire-payload codecs;
-* :mod:`repro.runtime.store`     — the sharded :class:`ResultStore`
-  (per-shard indexes, integrity verify, LRU GC, v1 migration);
-* :mod:`repro.runtime.cache`     — the legacy flat :class:`ResultCache`
-  (still engine-compatible via the lookup/store/flush protocol);
+* :mod:`repro.runtime.store`     — the sharded :class:`ResultStore`,
+  the one result store (per-shard indexes, integrity verify, LRU GC);
 * :mod:`repro.runtime.engine`    — the :class:`WorkerPool`,
   :class:`JobEngine`, and the :class:`RuntimeSession` facade used by
   ``experiments.common``;
@@ -31,7 +29,6 @@ design-space-exploration driver on top.  The layers, bottom up:
 See ``docs/runtime.md`` for the architecture and the store layout.
 """
 
-from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.engine import (
     JobEngine,
     JobOutcome,
@@ -53,7 +50,7 @@ from repro.runtime.signature import (
     config_signature,
     describe_config,
 )
-from repro.runtime.store import ResultStore
+from repro.runtime.store import ResultStore, default_cache_dir
 
 __all__ = [
     "JobEngine",
@@ -61,7 +58,6 @@ __all__ = [
     "JobOutcome",
     "MixJob",
     "ProgressPrinter",
-    "ResultCache",
     "ResultStore",
     "RunManifest",
     "RuntimeSession",

@@ -10,14 +10,15 @@ see :mod:`repro.runtime.registry`) and:
    in four different figures — it runs once);
 2. answers what it can from the result store (kinds that own their own
    persistence, like trace captures, opt out via ``cacheable=False``);
-3. fans the misses out across a :class:`WorkerPool`, dispatching in
-   workload order so each worker's per-process trace memo gets reuse;
-4. enforces a **per-job timeout** (a wave-dispatch deadline per future),
-   **bounded retries with deterministic exponential backoff**, and
-   **graceful degradation**: a hung worker is killed and the pool rebuilt;
-   a died worker (``BrokenProcessPool``) retries and finally falls back to
-   in-process execution; an engine that cannot create a pool at all just
-   runs everything inline.
+3. fans the misses out across a :class:`WorkerPool` in chunks of up to
+   ``batch`` jobs, dispatching in workload order so each worker's
+   per-process trace memo gets reuse;
+4. enforces a **per-job timeout** (each chunk's deadline is ``timeout``
+   per job), **bounded retries with deterministic exponential backoff**,
+   and **graceful degradation**: a hung or died worker is killed, its
+   chunk comes back one job per chunk, and the pool is rebuilt up to
+   ``max_pool_rebuilds`` times before the rest runs in-process; an
+   engine that cannot create a pool at all just runs everything inline.
 
 Warm pools: an engine can borrow a caller-owned :class:`WorkerPool`
 instead of building an ephemeral one.  The pool's worker processes — and
@@ -34,7 +35,6 @@ changes *when* a result is computed, never *what* it is.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.runtime.registry import kind_for
 from repro.runtime.signature import code_salt
+from repro.runtime.store import runtime_store
 from repro.runtime.worker import execute_any, run_job_batch, run_with_stats
 
 ProgressFn = Callable[[str, "JobOutcome", int, int], None]
@@ -243,8 +244,8 @@ class JobEngine:
         if batch < 1:
             raise ValueError("batch size must be >= 1")
         self.jobs = jobs
-        # Anything with lookup(job)/store(job, result)/flush() — the
-        # sharded ResultStore or the legacy flat ResultCache.
+        # A ResultStore, or anything else with lookup(job)/store(job,
+        # result)/flush().
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
@@ -294,11 +295,7 @@ class JobEngine:
             # single pending job still goes parallel when one is set.
             if self.jobs > 1 and (len(pending) > 1
                                   or self.timeout is not None):
-                if self.batch > 1:
-                    self._run_pool_batched(unique, pending, outcomes,
-                                           execute)
-                else:
-                    self._run_pool(unique, pending, outcomes, execute)
+                self._run_pool(unique, pending, outcomes, execute)
             else:
                 self._run_inline(unique, pending, outcomes, execute)
         if self.cache is not None:
@@ -312,14 +309,10 @@ class JobEngine:
     def _cacheable(self, job) -> bool:
         """Whether *job*'s results route through the result store.
 
-        Kind-registered jobs follow their kind's ``cacheable`` flag
-        (trace captures own their store); legacy kindless specs driven
-        by an explicit ``execute`` callable default to cacheable.
+        Every job follows its kind's ``cacheable`` flag (trace captures
+        own their store).
         """
-        if self.cache is None:
-            return False
-        kind = kind_for(job, required=False)
-        return kind.cacheable if kind is not None else True
+        return self.cache is not None and kind_for(job).cacheable
 
     def _finish(self, outcomes: Dict[str, JobOutcome], key: str,
                 outcome: JobOutcome) -> None:
@@ -381,18 +374,20 @@ class JobEngine:
             return None
         return worker_pool.rebuild()
 
-    def _run_pool_batched(self, unique: Dict[str, Any],
-                          pending: List[str],
-                          outcomes: Dict[str, JobOutcome],
-                          execute: Callable[[Any], Any]) -> None:
-        """Chunked fan-out: ``batch`` jobs per worker round trip.
+    def _run_pool(self, unique: Dict[str, Any], pending: List[str],
+                  outcomes: Dict[str, JobOutcome],
+                  execute: Callable[[Any], Any]) -> None:
+        """Chunked fan-out: up to ``batch`` jobs per worker round trip.
 
         One submission amortizes IPC plus the worker's warm per-process
-        state (trace memo, specialized-kernel cache).  This loop only
-        handles the happy path; any anomaly — a worker death, a blown
-        deadline, a per-job error — routes the affected keys back
-        through the proven single-job pool machinery, which owns
-        retries and pool rebuilds.
+        state (trace memo, specialized-kernel cache); ``batch=1`` is the
+        chunk-of-one case.  Each chunk gets a deadline of ``timeout`` per
+        job.  A job is charged one attempt per execution that reports
+        back, and a hung single-job chunk is charged one too.  A chunk
+        that dies with its worker or hangs as a whole charges nobody: it
+        comes back as single-job chunks, and the pool is rebuilt within
+        the ``max_pool_rebuilds`` budget.  Once the budget is spent, the
+        rest runs inline.
         """
         worker_pool, owned = self._acquire_pool()
         if worker_pool.executor() is None:
@@ -400,202 +395,107 @@ class JobEngine:
                 worker_pool.stop()
             self._run_inline(unique, pending, outcomes, execute)
             return
-        chunks = deque(
-            pending[i:i + self.batch]
-            for i in range(0, len(pending), self.batch))
-        in_flight: Dict[object, tuple] = {}  # future -> (keys, t0, ddl)
-        fallback: List[str] = []
-        poisoned = False
-        while chunks or in_flight:
-            while chunks and len(in_flight) < self.jobs:
-                chunk = chunks.popleft()
-                now = time.monotonic()
-                deadline = (now + self.timeout * len(chunk)
-                            if self.timeout is not None else None)
-                try:
-                    future = worker_pool.submit(
-                        run_job_batch, execute,
-                        [unique[key] for key in chunk])
-                except Exception:  # noqa: BLE001 - pool broken
-                    poisoned = True
-                    fallback.extend(chunk)
-                    continue
-                in_flight[future] = (chunk, now, deadline)
-            if not in_flight:
-                continue
-            wait_for = None
-            now = time.monotonic()
-            deadlines = [d for (_k, _t, d) in in_flight.values()
-                         if d is not None]
-            if deadlines:
-                wait_for = max(0.0, min(deadlines) - now)
-            done, _ = wait(set(in_flight), timeout=wait_for,
-                           return_when=FIRST_COMPLETED)
-            anomaly = False
-            for future in done:
-                chunk, _t0, _deadline = in_flight.pop(future)
-                try:
-                    statuses = future.result()
-                except Exception:  # noqa: BLE001 - incl. broken pool
-                    anomaly = True
-                    poisoned = True
-                    fallback.extend(chunk)
-                    continue
-                for key, (status, payload, wall,
-                          stats) in zip(chunk, statuses):
-                    if status == "ok":
-                        self._finish(outcomes, key,
-                                     JobOutcome(unique[key], "ran",
-                                                payload, wall, 1,
-                                                "pool", stats=stats))
-                    else:
-                        # Give the failure the single-job path's
-                        # full retry budget.
-                        fallback.append(key)
-            if not done:
-                now = time.monotonic()
-                if any(d is not None and now >= d
-                       for (_k, _t, d) in in_flight.values()):
-                    anomaly = True
-                    poisoned = True
-            if anomaly:
-                for _future, (chunk, _t0, _d) in in_flight.items():
-                    fallback.extend(chunk)
-                in_flight.clear()
-                while chunks:
-                    fallback.extend(chunks.popleft())
-        if poisoned:
-            # Hung or dead workers: fresh processes before the fallback
-            # path touches the pool (the warm state died with them).
-            worker_pool.rebuild()
-        if fallback:
-            self._run_pool_with(worker_pool, owned, unique, fallback,
-                                outcomes, execute)
-        elif owned:
-            worker_pool.stop()
-
-    def _run_pool(self, unique: Dict[str, Any], pending: List[str],
-                  outcomes: Dict[str, JobOutcome],
-                  execute: Callable[[Any], Any]) -> None:
-        worker_pool, owned = self._acquire_pool()
-        self._run_pool_with(worker_pool, owned, unique, pending, outcomes,
-                            execute)
-
-    def _run_pool_with(self, worker_pool: WorkerPool, owned: bool,
-                       unique: Dict[str, Any], pending: List[str],
-                       outcomes: Dict[str, JobOutcome],
-                       execute: Callable[[Any], Any]) -> None:
-        pool = worker_pool.executor()
-        if pool is None:
-            if owned:
-                worker_pool.stop()
-            self._run_inline(unique, pending, outcomes, execute)
-            return
-        queue = deque(pending)
+        queue = deque(pending[i:i + self.batch]
+                      for i in range(0, len(pending), self.batch))
         attempts: Dict[str, int] = {key: 0 for key in pending}
-        in_flight: Dict[object, tuple] = {}  # future -> (key, t0, deadline)
-        inline_later: List[str] = []
+        in_flight: Dict[object, tuple] = {}  # future -> (chunk, t0, ddl)
+        alive = True
+
+        def requeue(chunks: List[List[str]]) -> None:
+            """Put unfinished chunks back, one job each, uncharged."""
+            queue.extendleft(reversed([[key] for chunk in chunks
+                                       for key in chunk]))
+
+        def charge(chunk: List[str], status: str, wall: float,
+                   error: str) -> None:
+            """Charge a one-job chunk an attempt; split a larger one."""
+            if len(chunk) > 1:
+                requeue([chunk])
+                return
+            key = chunk[0]
+            attempts[key] += 1
+            if attempts[key] <= self.retries:
+                self._backoff(attempts[key])
+                queue.append([key])
+            else:
+                self._finish(outcomes, key,
+                             JobOutcome(unique[key], status, None, wall,
+                                        attempts[key], "pool", error))
+
         try:
-            while queue or in_flight:
-                if pool is None:
-                    inline_later.extend(queue)
-                    queue.clear()
-                    break
+            while alive and (queue or in_flight):
+                broke = False
                 while queue and len(in_flight) < self.jobs:
-                    key = queue.popleft()
-                    attempts[key] += 1
+                    chunk = queue.popleft()
                     now = time.monotonic()
-                    deadline = (now + self.timeout
+                    deadline = (now + self.timeout * len(chunk)
                                 if self.timeout is not None else None)
                     try:
-                        future = pool.submit(run_with_stats, execute,
-                                             unique[key])
-                    except Exception:  # noqa: BLE001 - pool already broken
-                        pool = self._rebuild_pool(worker_pool)
-                        queue.appendleft(key)
-                        attempts[key] -= 1
+                        future = worker_pool.submit(
+                            run_job_batch, execute,
+                            [unique[key] for key in chunk])
+                    except Exception:  # noqa: BLE001 - pool broken
+                        requeue([chunk])
+                        broke = True
                         break
-                    worker_pool.submissions += 1
-                    in_flight[future] = (key, now, deadline)
-                if not in_flight:
-                    continue
-                wait_for = None
-                now = time.monotonic()
-                deadlines = [d for (_k, _t, d) in in_flight.values()
-                             if d is not None]
-                if deadlines:
-                    wait_for = max(0.0, min(deadlines) - now)
-                done, _ = wait(set(in_flight), timeout=wait_for,
-                               return_when=FIRST_COMPLETED)
-                if done:
-                    broke = False
+                    in_flight[future] = (chunk, now, deadline)
+                if not broke:
+                    soonest = min((d for (_c, _t, d) in in_flight.values()
+                                   if d is not None), default=None)
+                    wait_for = (None if soonest is None
+                                else max(0.0, soonest - time.monotonic()))
+                    done, _ = wait(set(in_flight), timeout=wait_for,
+                                   return_when=FIRST_COMPLETED)
                     for future in done:
-                        key, t0, _deadline = in_flight.pop(future)
-                        job = unique[key]
-                        wall = time.monotonic() - t0
+                        chunk, t0, _deadline = in_flight.pop(future)
                         try:
-                            result, stats = future.result()
+                            statuses = future.result()
                         except BrokenProcessPool:
+                            requeue([chunk])
                             broke = True
-                            queue.appendleft(key)
-                            break
+                            continue
                         except Exception as exc:  # noqa: BLE001
-                            if attempts[key] <= self.retries:
-                                self._backoff(attempts[key])
-                                queue.append(key)
-                            else:
+                            # The round trip itself failed (say, an
+                            # unpicklable result); the pool is fine.
+                            charge(chunk, "failed", time.monotonic() - t0,
+                                   f"{type(exc).__name__}: {exc}")
+                            continue
+                        for key, (status, payload, wall,
+                                  stats) in zip(chunk, statuses):
+                            if status == "ok":
+                                attempts[key] += 1
                                 self._finish(
                                     outcomes, key,
-                                    JobOutcome(job, "failed", None, wall,
-                                               attempts[key], "pool",
-                                               f"{type(exc).__name__}: "
-                                               f"{exc}"))
-                        else:
-                            self._finish(outcomes, key,
-                                         JobOutcome(job, "ran", result,
-                                                    wall, attempts[key],
-                                                    "pool", stats=stats))
-                    if broke:
-                        # Every other in-flight future died with the pool.
-                        for future, (key, _t0, _d) in in_flight.items():
-                            if attempts[key] <= self.retries:
-                                queue.append(key)
+                                    JobOutcome(unique[key], "ran", payload,
+                                               wall, attempts[key], "pool",
+                                               stats=stats))
                             else:
-                                inline_later.append(key)
-                        in_flight.clear()
-                        pool = self._rebuild_pool(worker_pool)
-                    continue
-                # wait() timed out: at least one job blew its deadline.
-                now = time.monotonic()
-                expired = [f for f, (_k, _t, d) in in_flight.items()
-                           if d is not None and now >= d]
-                if not expired:
-                    continue
-                for future in expired:
-                    key, t0, _d = in_flight.pop(future)
-                    job = unique[key]
-                    if attempts[key] <= self.retries:
-                        self._backoff(attempts[key])
-                        queue.append(key)
-                    else:
-                        self._finish(outcomes, key,
-                                     JobOutcome(job, "timeout", None,
-                                                now - t0, attempts[key],
-                                                "pool",
-                                                f"exceeded {self.timeout}s"))
-                # The hung worker poisons its slot; survivors are requeued
-                # (no attempt charged) and the pool is rebuilt.
-                for future, (key, _t0, _d) in in_flight.items():
-                    attempts[key] -= 1
-                    queue.appendleft(key)
-                in_flight.clear()
-                pool = self._rebuild_pool(worker_pool)
+                                charge([key], "failed", wall, payload)
+                    if not done:
+                        now = time.monotonic()
+                        for future in [f for f, (_c, _t, d)
+                                       in in_flight.items()
+                                       if d is not None and now >= d]:
+                            chunk, t0, _deadline = in_flight.pop(future)
+                            charge(chunk, "timeout", now - t0,
+                                   f"exceeded {self.timeout}s")
+                            broke = True
+                if broke:
+                    # Hung or dead workers poison the pool: whatever is
+                    # still in flight comes back uncharged, and fresh
+                    # processes replace the old ones.
+                    requeue([chunk for chunk, _t, _d
+                             in in_flight.values()])
+                    in_flight.clear()
+                    alive = self._rebuild_pool(worker_pool) is not None
         finally:
             if owned:
                 worker_pool.stop()
-        if inline_later:
-            # Workers died repeatedly on these jobs: last resort inline.
-            self._run_inline(unique, inline_later, outcomes, execute)
+        if queue:
+            # Out of rebuild budget: last resort inline.
+            self._run_inline(unique, [key for chunk in queue
+                                      for key in chunk],
+                             outcomes, execute)
 
 
 class RuntimeSession:
@@ -612,23 +512,14 @@ class RuntimeSession:
                  no_cache: bool = False, timeout: Optional[float] = None,
                  retries: int = 1, progress: Optional[ProgressFn] = None,
                  batch: int = 1, keep_pool: bool = False):
-        from repro.runtime.store import ResultStore
-
         self.jobs = max(1, jobs)
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
         self.batch = max(1, batch)
         self.salt = code_salt()
-        if no_cache:
-            self.cache = None
-        elif cache_dir:
-            self.cache = ResultStore(cache_dir, self.salt)
-        elif os.environ.get("REPRO_CACHE_DIR"):
-            self.cache = ResultStore(os.environ["REPRO_CACHE_DIR"],
-                                     self.salt)
-        else:
-            self.cache = None
+        self.cache = (None if no_cache
+                      else runtime_store(cache_dir, self.salt))
         # With keep_pool the session pins one warm pool for its whole
         # life; engines borrow it instead of building their own.
         self.pool = (WorkerPool(self.jobs)

@@ -22,6 +22,7 @@ from typing import Any, Dict, Optional
 
 from repro.runtime.engine import EngineReport, JobOutcome
 from repro.stats.report import format_duration
+from repro.utils import write_atomic
 
 MANIFEST_VERSION = 2
 
@@ -78,11 +79,8 @@ class RunManifest:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        write_atomic(path, (text + "\n").encode("utf-8"))
 
     def summary(self) -> str:
         """One stderr-friendly line for the end of a run."""

@@ -111,25 +111,18 @@ def get_kind(name: str) -> JobKind:
     return kind
 
 
-def kind_for(job: Any, required: bool = True) -> Optional[JobKind]:
+def kind_for(job: Any) -> JobKind:
     """The :class:`JobKind` a job spec belongs to.
 
-    With ``required`` (the default) a spec without a ``kind`` attribute
-    or with an unregistered one raises ``RuntimeError`` naming the
-    registered kinds; ``required=False`` returns None instead (legacy
-    callers that bring their own ``execute`` and cache).
+    A spec without a ``kind`` attribute or with an unregistered one
+    raises ``RuntimeError`` naming the registered kinds.
     """
     name = getattr(job, "kind", None)
     if name is None:
-        if required:
-            raise RuntimeError(
-                f"job spec {type(job).__name__} declares no job kind; "
-                f"registered kinds: "
-                f"{', '.join(sorted(registered_kinds())) or '(none)'}")
-        return None
-    if not required:
-        ensure_builtin_kinds()
-        return _KINDS.get(name)
+        raise RuntimeError(
+            f"job spec {type(job).__name__} declares no job kind; "
+            f"registered kinds: "
+            f"{', '.join(sorted(registered_kinds())) or '(none)'}")
     return get_kind(name)
 
 

@@ -259,8 +259,7 @@ class JobService:
             job = self._jobs_by_key.get(key)
         if result is None and job is not None:
             store = self.session.cache
-            kind = kind_for(job, required=False)
-            if store is not None and kind is not None and kind.cacheable:
+            if store is not None and kind_for(job).cacheable:
                 result = store.lookup(job)
         if result is None or job is None:
             raise ServiceError(f"no result for key {key!r}", status=404)

@@ -1,9 +1,9 @@
 """Sharded, content-addressed result store with integrity and GC.
 
-The successor to the flat :class:`repro.runtime.cache.ResultCache`:
-results of every registered job kind live in one directory tree, fanned
-out by hash prefix, with a per-shard index that makes the store
-administrable — ``repro-cc cache stats|verify|gc`` all read it.
+The runtime's one result store: results of every registered job kind
+live in one directory tree, fanned out by hash prefix, with a per-shard
+index that makes the store administrable — ``repro-cc cache
+stats|verify|gc`` all read it.
 
 Layout (under ``--cache-dir``, ``$REPRO_CACHE_DIR``, or ``~/.cache/repro``)::
 
@@ -28,10 +28,9 @@ memory and :meth:`flush` writes the dirty shards — the engine flushes
 once per run, the service once per batch — so a thousand-hit sweep does
 not rewrite index files a thousand times.
 
-Migration: a ``lookup`` that misses v2 probes the v1 flat-cache path for
-the same ``(salt, key)`` and **adopts** the entry — moves the payload
-into the sharded tree and indexes it — so existing cache directories
-warm the new store incrementally, no bulk conversion step required.
+Every result lives under a code salt, so a directory left by an older
+store format or an older simulator is simply never read; ``cache gc``
+reclaims only the current salt's tree.
 """
 
 from __future__ import annotations
@@ -40,14 +39,13 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.runtime.registry import kind_for, registered_kinds
+from repro.utils import write_atomic
 
 _FORMAT = "v2"
-_V1_FORMAT = "v1"
 INDEX_NAME = "index.json"
 INDEX_VERSION = 1
 
@@ -60,20 +58,6 @@ def default_cache_dir() -> str:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro")
-
-
-def _write_atomic(path: str, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class StoreProblem:
@@ -97,11 +81,9 @@ class ResultStore:
         self.root = root
         self.salt = salt
         self.dir = os.path.join(root, _FORMAT, salt)
-        self.v1_dir = os.path.join(root, _V1_FORMAT, salt)
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self.adopted = 0
         # shard -> (index dict, dirty flag); indexes load lazily.
         self._indexes: Dict[str, Tuple[Dict[str, Any], bool]] = {}
 
@@ -163,7 +145,7 @@ class ResultStore:
                 del merged[key]
             directory = os.path.join(self.dir, shard)
             os.makedirs(directory, exist_ok=True)
-            _write_atomic(
+            write_atomic(
                 self._index_path(shard),
                 json.dumps({"version": INDEX_VERSION, "entries": merged},
                            sort_keys=True, indent=1).encode("utf-8"))
@@ -181,10 +163,6 @@ class ResultStore:
                 data = handle.read()
             result = pickle.loads(data)
         except FileNotFoundError:
-            adopted = self._adopt_v1(job)
-            if adopted is not None:
-                self.hits += 1
-                return adopted
             self.misses += 1
             return None
         except Exception:
@@ -207,7 +185,7 @@ class ResultStore:
         path = self._payload_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         data = pickle.dumps(result, protocol=4)
-        _write_atomic(path, data)
+        write_atomic(path, data)
         shard = self._shard(key)
         index = self._load_index(shard)
         index[key] = {
@@ -223,8 +201,7 @@ class ResultStore:
 
     def contains(self, job) -> bool:
         """Whether a payload exists for *job* (no counters, no decode)."""
-        return (os.path.exists(self._payload_path(job.key))
-                or os.path.exists(self._v1_payload_path(job.key)))
+        return os.path.exists(self._payload_path(job.key))
 
     def _touch(self, key: str, kind_name: str, data: bytes) -> None:
         shard = self._shard(key)
@@ -249,34 +226,6 @@ class ResultStore:
         index = self._load_index(shard)
         if index.pop(key, None) is not None:
             self._mark_dirty(shard)
-
-    # -- v1 migration --------------------------------------------------------
-
-    def _v1_payload_path(self, key: str) -> str:
-        return os.path.join(self.v1_dir, key[:2], key + ".pkl")
-
-    def _adopt_v1(self, job) -> Optional[Any]:
-        """Move a v1 flat-cache entry for *job* into the sharded tree."""
-        kind = kind_for(job)
-        old = self._v1_payload_path(job.key)
-        try:
-            with open(old, "rb") as handle:
-                data = handle.read()
-            result = pickle.loads(data)
-        except (OSError, Exception):  # noqa: B014 - any defect = no entry
-            return None
-        if not isinstance(result, kind.result_type):
-            return None
-        self.store(job, result)
-        self.writes -= 1  # an adoption is not a fresh result
-        self.adopted += 1
-        for suffix in (".pkl", ".json"):
-            try:
-                os.remove(os.path.join(self.v1_dir, job.key[:2],
-                                       job.key + suffix))
-            except OSError:
-                pass
-        return result
 
     # -- administration (repro-cc cache) -------------------------------------
 
@@ -451,7 +400,6 @@ class ResultStore:
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
-            "adopted_v1": self.adopted,
             "hit_rate": self.hit_rate,
         }
 
@@ -464,8 +412,8 @@ def runtime_store(cache_dir: Optional[str] = None,
                   salt: Optional[str] = None) -> Optional[ResultStore]:
     """The standard-location result store, or None when caching is off.
 
-    Mirrors the session policy every runtime entry point shares: an
-    explicit directory wins, then ``$REPRO_CACHE_DIR``, else no store.
+    The one store policy every runtime entry point shares: an explicit
+    directory wins, then ``$REPRO_CACHE_DIR``, else no store.
     """
     from repro.runtime.signature import code_salt
 

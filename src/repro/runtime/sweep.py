@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.errors import ReproError
 from repro.runtime.registry import decode_job
 from repro.runtime.signature import canonical_json, digest
+from repro.utils import write_atomic
 
 MANIFEST_VERSION = 1
 
@@ -181,10 +182,8 @@ class SweepManifest:
             "planned": planned,
             "done": self.done,
         }
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(body, handle, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
+        write_atomic(self.path, json.dumps(body, indent=1,
+                                           sort_keys=True).encode("utf-8"))
 
 
 class SweepReport:

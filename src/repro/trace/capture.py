@@ -4,8 +4,8 @@ A :class:`TraceJob` names everything that determines a committed dynamic
 stream — the workload (or inline source), its scale/seed, and the
 compile-relevant options — exactly the frontend half of a
 :class:`repro.runtime.job.SimJob` (the machine configuration is absent:
-the committed stream does not depend on it).  Captured traces live in
-the same content-addressed store layout as simulation results::
+the committed stream does not depend on it).  Captured traces live
+under the result store's root, content-addressed like results::
 
     <cache_dir>/v1/<capture_salt>/<key[:2]>/<key>.trace   (+ .json meta)
 
@@ -29,7 +29,6 @@ import os
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import TraceError
-from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.registry import JobKind, register_kind
 from repro.runtime.signature import (
     TRACE_SALT_SOURCES,
@@ -37,7 +36,9 @@ from repro.runtime.signature import (
     digest,
     source_salt,
 )
+from repro.runtime.store import default_cache_dir
 from repro.trace.format import TRACE_FORMAT_VERSION, write_trace
+from repro.utils import write_atomic
 from repro.vm.trace import Trace
 
 _CAPTURE_SALT: Dict[str, str] = {}
@@ -139,12 +140,13 @@ class TraceJob:
 
 
 class TraceStore:
-    """Content-addressed trace files in the ResultCache directory tree.
+    """Content-addressed trace files under the result-store root.
 
-    Reuses the cache's ``v1/<salt>/<key[:2]>`` fan-out and atomic-write
-    discipline, but stores the raw trace format (``.trace``) instead of
-    pickles — traces are their own serialization, checksummed and
-    versioned by :mod:`repro.trace.format`.
+    Traces keep their own ``v1/<salt>/<key[:2]>`` fan-out next to the
+    result store's ``v2`` tree and are written atomically, but stored in
+    the raw trace format (``.trace``) instead of pickles — traces are
+    their own serialization, checksummed and versioned by
+    :mod:`repro.trace.format`.
     """
 
     SUFFIX = ".trace"
@@ -176,7 +178,7 @@ class TraceStore:
         path = self.path(key)
         write_trace(trace, path, meta=meta)
         if meta is not None:
-            ResultCache._write_atomic(
+            write_atomic(
                 os.path.join(os.path.dirname(path), key + ".json"),
                 (canonical_json(meta) + "\n").encode("utf-8"))
         return path

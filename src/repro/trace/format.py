@@ -63,12 +63,12 @@ import json
 import os
 import struct
 import sys
-import tempfile
 from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.stats.histogram import Histogram
+from repro.utils import write_atomic
 from repro.vm.trace import DynInst, Trace, TraceStats
 
 #: Bump on any incompatible change to the layout or field semantics.
@@ -407,17 +407,7 @@ def write_trace(trace: Trace, path: str,
     payload = encode_trace(trace, meta=meta)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-trace-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, payload)
     return path
 
 

@@ -54,13 +54,13 @@ import json
 import os
 import struct
 import sys
-import tempfile
 from array import array
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.isa.opcodes import LATENCY_BY_INT
+from repro.utils import write_atomic
 from repro.vm.trace import DynInst
 
 #: Bump on any incompatible change to the sidecar layout or semantics.
@@ -329,17 +329,7 @@ def write_predecoded(pdt: PredecodedTrace, path: str) -> str:
     payload = encode_predecoded(pdt)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-pdt-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, payload)
     return path
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import tempfile
 from typing import Iterable, Iterator, List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -84,6 +86,28 @@ def stable_hash(*parts: object) -> int:
     text = "\x1f".join(repr(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[16:20], "little") & 0x7FFFFFFF
+
+
+def write_atomic(path: str, payload: bytes) -> None:
+    """Write *payload* to *path* so readers see the old file or the new one.
+
+    The bytes go to a uniquely named temp file in the target directory,
+    which ``os.replace`` then renames over *path*.  Concurrent writers of
+    the same path never share a temp file, and the temp file is removed
+    on any failure.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def make_rng(seed: int) -> random.Random:

@@ -9,9 +9,9 @@ import time
 from repro.core.config import MachineConfig
 from repro.core.metrics import SimResult
 from repro.experiments.common import nm_config
-from repro.runtime.cache import ResultCache
 from repro.runtime.engine import JobEngine
 from repro.runtime.job import SimJob
+from repro.runtime.store import ResultStore
 from repro.stats.counters import CounterSet
 
 MAIN_PID = os.getpid()
@@ -76,7 +76,7 @@ def test_dedupes_identical_jobs():
 
 
 def test_cache_round_trip_through_engine(tmp_path):
-    cache = ResultCache(str(tmp_path), salt="t")
+    cache = ResultStore(str(tmp_path), salt="t")
     cold = JobEngine(jobs=1, cache=cache).run([_job("a")],
                                               execute=quick_stub)
     assert cold.ran == 1 and cold.cached == 0

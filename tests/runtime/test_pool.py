@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import time
 
+import pytest
+
 from repro.core.metrics import SimResult
 from repro.experiments.common import nm_config
 from repro.runtime.engine import JobEngine, WorkerPool
@@ -67,6 +69,18 @@ def flaky_until_third(job: SimJob) -> SimResult:
     return _stub_result(job)
 
 
+def count_and_fail_b(job: SimJob) -> SimResult:
+    """Records each execution as a marker file; job ``b`` always fails."""
+    root = os.environ["REPRO_TEST_FLAKY_DIR"]
+    n = len([name for name in os.listdir(root)
+             if name.startswith(job.workload + ".")])
+    with open(os.path.join(root, f"{job.workload}.{n}"), "w"):
+        pass
+    if job.workload == "b":
+        raise RuntimeError("boom for b")
+    return _stub_result(job)
+
+
 # -- deterministic exponential backoff ---------------------------------------
 
 
@@ -116,8 +130,6 @@ def test_exhausted_retries_record_failure_after_full_schedule():
 
 
 def test_worker_pool_rejects_zero_workers():
-    import pytest
-
     with pytest.raises(ValueError):
         WorkerPool(0)
 
@@ -172,6 +184,71 @@ def test_hung_worker_is_killed_and_pool_rebuilt():
         assert by_name["hang"].status == "timeout"
         assert by_name["a"].status == "ran"
         assert pool.rebuilds >= 1
+
+
+def test_hung_job_in_a_chunk_times_out_alone():
+    """A chunk that hangs as a whole charges nobody: it comes back one
+    job per chunk, so only the hung job times out and its siblings run."""
+    with WorkerPool(2) as pool:
+        started = time.monotonic()
+        report = JobEngine(jobs=2, batch=3, timeout=0.5, retries=0,
+                           pool=pool).run(
+            [_job("hang"), _job("a"), _job("b")], execute=hang_if_marked)
+        assert time.monotonic() - started < 30
+        by_name = {o.job.workload: o for o in report.outcomes.values()}
+        assert by_name["hang"].status == "timeout"
+        assert by_name["hang"].attempts == 1
+        for name in ("a", "b"):
+            assert by_name[name].status == "ran"
+            assert by_name[name].attempts == 1
+        assert pool.rebuilds >= 1
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_pool_rebuilds_stay_within_budget(batch, budget):
+    """Dying workers rebuild the pool at most ``max_pool_rebuilds``
+    times, whatever the chunk size; the jobs then complete inline."""
+    with WorkerPool(2) as pool:
+        report = JobEngine(jobs=2, batch=batch, max_pool_rebuilds=budget,
+                           pool=pool).run([_job(w) for w in "abc"],
+                                          execute=die_in_worker)
+        assert pool.rebuilds <= budget
+        assert report.ran == 3
+        for outcome in report.outcomes.values():
+            assert outcome.worker == "inline"
+            assert outcome.result.counters.get("pid") == MAIN_PID
+
+
+def test_batched_failure_runs_at_most_retries_plus_one(tmp_path,
+                                                      monkeypatch):
+    """A job is charged one attempt per execution, chunked or not."""
+    monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
+    report = JobEngine(jobs=2, batch=3, retries=1, sleep=lambda _s: None
+                       ).run([_job("a"), _job("b"), _job("c")],
+                             execute=count_and_fail_b)
+    by_name = {o.job.workload: o for o in report.outcomes.values()}
+    assert by_name["b"].status == "failed"
+    assert by_name["b"].attempts == 2
+    assert by_name["a"].status == by_name["c"].status == "ran"
+    runs = sorted(name.split(".")[0]
+                  for name in os.listdir(str(tmp_path)))
+    assert runs == ["a", "b", "b", "c"]
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_unpicklable_work_fails_per_job_without_rebuild(batch):
+    """A round trip that fails in pickling is a job failure, not a pool
+    failure: each job is charged and retried, and the pool survives."""
+    with WorkerPool(2) as pool:
+        report = JobEngine(jobs=2, batch=batch, retries=1, pool=pool,
+                           sleep=lambda _s: None).run(
+            [_job(w) for w in "abc"], execute=lambda job: quick_stub(job))
+        assert pool.rebuilds == 0
+        for outcome in report.outcomes.values():
+            assert outcome.status == "failed"
+            assert outcome.attempts == 2
+            assert "pickle" in outcome.error
 
 
 class DeadPool(WorkerPool):

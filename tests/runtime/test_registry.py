@@ -43,8 +43,6 @@ def test_kindless_spec_raises_when_required():
         kind_for(Legacy())
     assert "declares no job kind" in str(excinfo.value)
     assert "sim" in str(excinfo.value)
-    # Legacy callers that bring their own execute opt out explicitly.
-    assert kind_for(Legacy(), required=False) is None
 
 
 def test_kind_dispatch_matches_spec_classes():

@@ -1,4 +1,4 @@
-"""The sharded result store: round-trips, migration, integrity, GC."""
+"""The sharded result store: round-trips, salts, integrity, GC."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import pickle
 import pytest
 
 from repro.runtime.registry import JobKind, register_kind
-from repro.runtime.store import ResultStore, StoreProblem, runtime_store
+from repro.runtime.store import (ResultStore, StoreProblem, default_cache_dir,
+                                 runtime_store)
 
 
 class BlobResult:
@@ -67,7 +68,6 @@ def test_round_trip_and_counters(store):
     assert store.writes == 1 and store.hits == 1 and store.misses == 1
     assert 0.0 < store.hit_rate < 1.0
     stats = store.stats()
-    assert stats["adopted_v1"] == 0
     assert stats["salt"] == "t"
 
 
@@ -118,30 +118,24 @@ def test_wrong_result_type_is_a_miss(store):
     assert store.misses == 1
 
 
-def test_v1_entry_is_adopted_on_lookup(tmp_path):
-    store = ResultStore(str(tmp_path), salt="t")
+def test_code_salt_invalidates(tmp_path):
+    """A new code version must never serve results from an old one."""
+    old = ResultStore(str(tmp_path), salt="a")
     job = BlobJob("zeta")
-    # Fake a v1 flat-cache entry: <root>/v1/<salt>/<key[:2]>/<key>.pkl+.json
-    v1_shard = os.path.join(str(tmp_path), "v1", "t", job.key[:2])
-    os.makedirs(v1_shard)
-    with open(os.path.join(v1_shard, job.key + ".pkl"), "wb") as handle:
-        pickle.dump(BlobResult("zeta"), handle)
-    with open(os.path.join(v1_shard, job.key + ".json"), "w") as handle:
-        json.dump({"meta": {}}, handle)
+    old.store(job, BlobResult("zeta"))
+    old.flush()
+    assert ResultStore(str(tmp_path), salt="b").lookup(job) is None
+    # ... while the old version's entries stay untouched.
+    assert ResultStore(str(tmp_path), salt="a").lookup(job) == \
+        BlobResult("zeta")
 
-    found = store.lookup(job)
-    assert found == BlobResult("zeta")
-    assert store.adopted == 1
-    assert store.hits == 1
-    assert store.writes == 0  # an adoption is not a fresh result
-    # The v1 files are gone; the payload now lives in the sharded tree.
-    assert not os.path.exists(os.path.join(v1_shard, job.key + ".pkl"))
-    assert not os.path.exists(os.path.join(v1_shard, job.key + ".json"))
-    assert os.path.exists(
-        os.path.join(store.dir, job.key[:2], job.key + ".pkl"))
-    # A second lookup hits v2 directly.
-    assert store.lookup(job) == BlobResult("zeta")
-    assert store.adopted == 1
+
+def test_default_cache_dir_env(monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere")
+    assert default_cache_dir() == "/tmp/somewhere"
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg")
+    assert default_cache_dir() == os.path.join("/tmp/xdg", "repro")
 
 
 def test_unindexed_payload_adopted_on_touch(store):

@@ -1,5 +1,7 @@
 """Tests for repro.utils."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,7 @@ from repro.utils import (
     to_signed32,
     to_unsigned32,
     weighted_choice,
+    write_atomic,
 )
 
 
@@ -96,3 +99,15 @@ def test_moving_sum():
     assert moving_sum([1, 2, 3, 4], 2) == [3, 5, 7]
     with pytest.raises(ValueError):
         moving_sum([1], 0)
+
+
+
+def test_write_atomic_replaces_and_cleans_up_on_failure(tmp_path):
+    path = str(tmp_path / "out.bin")
+    write_atomic(path, b"first")
+    write_atomic(path, b"old")
+    with pytest.raises(TypeError):
+        write_atomic(path, "not bytes")
+    with open(path, "rb") as handle:
+        assert handle.read() == b"old"
+    assert os.listdir(str(tmp_path)) == ["out.bin"]
