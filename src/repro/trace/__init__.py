@@ -3,10 +3,15 @@
 The subsystem decouples the functional frontend from the timing kernel:
 
 * :mod:`repro.trace.format` — the versioned struct-of-arrays on-disk
-  trace format (encode/decode/read/write/info);
+  trace format (encode/decode/read/write/info), and the one container
+  codec and ``DynInst`` materializer it shares with the sidecar;
+* :mod:`repro.trace.predecode` — the ``.pdt`` sidecar (the trace's
+  stream sections, content-addressed to it) and the per-process
+  materialization memo;
 * :mod:`repro.trace.capture` — content-addressed capture store keyed by
   a frontend-only code salt;
-* :mod:`repro.trace.replay` — trace-driven simulation, bit-identical to
+* :mod:`repro.trace.replay` — trace-driven simulation (``replay_insts``
+  resolves a stream, ``replay_fast`` simulates it), bit-identical to
   execution-driven runs;
 * :mod:`repro.trace.mix` — N captured traces co-scheduled on independent
   cores sharing the L2 and the memory bus.
@@ -27,7 +32,7 @@ from repro.trace.format import (
     write_trace,
 )
 from repro.trace.mix import INTERFERENCE_COUNTERS, MixResult, run_mix_jobs
-from repro.trace.replay import check_replay_equivalence, load_trace, replay
+from repro.trace.replay import check_replay_equivalence, replay_fast
 
 __all__ = [
     "INTERFERENCE_COUNTERS",
@@ -41,9 +46,8 @@ __all__ = [
     "check_replay_equivalence",
     "decode_trace",
     "encode_trace",
-    "load_trace",
     "read_trace",
-    "replay",
+    "replay_fast",
     "trace_info",
     "write_trace",
 ]

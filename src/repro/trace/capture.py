@@ -16,8 +16,8 @@ so editing the timing kernel keeps captured traces valid while editing
 the compiler or VM — or bumping the format — invalidates them all.
 
 Next to each ``.trace`` the store keeps a derived ``.pdt`` sidecar
-(:mod:`repro.trace.predecode`): the pre-decoded struct-of-arrays tables
-the replay fast path indexes instead of re-parsing the trace.  Sidecars
+(:mod:`repro.trace.predecode`): the trace's stream sections, which the
+replay path loads instead of re-reading the whole trace.  Sidecars
 are content-addressed to the trace's payload hash and re-derived on
 demand, so they are pure cache — deleting one costs a rebuild, never
 correctness.
@@ -191,21 +191,20 @@ class TraceStore:
         matches the stored trace's payload hash — a re-captured trace
         invalidates its stale sidecar automatically.
         """
-        from repro.trace.format import read_trace_header
         from repro.trace import predecode as _pd
+        from repro.trace.format import read_header
 
         trace_path = self.lookup(key)
         if trace_path is None:
             return None
-        source_sha = read_trace_header(trace_path).get("payload_sha256")
+        source_sha = read_header(trace_path).get("payload_sha256")
         sidecar = self.predecoded_path(key)
-        if os.path.exists(sidecar):
-            try:
-                existing = _pd.read_predecoded(sidecar, verify=False)
-                if existing.source_sha256 == source_sha:
-                    return sidecar
-            except TraceError:
-                pass  # corrupt or stale — rewrite below
+        try:
+            if read_header(sidecar, _pd.SIDECAR).get(
+                    "source_sha256") == source_sha:
+                return sidecar
+        except TraceError:
+            pass  # absent, stale, or corrupt — rewrite below
         with open(trace_path, "rb") as handle:
             data = handle.read()
         _pd.write_predecoded(

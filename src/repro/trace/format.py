@@ -1,4 +1,4 @@
-"""The versioned struct-of-arrays on-disk trace format.
+"""The versioned struct-of-arrays on-disk trace format, and its container.
 
 A trace file is a serialized committed dynamic instruction stream — the
 complete input of a timing simulation — laid out as flat per-field
@@ -50,10 +50,26 @@ is what a default-geometry gshare frontend computes over the stream
 consume them — the frontend recomputes gates at bind time from the same
 pure function, which is what keeps replay bit-identical under *any*
 frontend configuration — but they make the trace self-describing for
-offline analysis and ``repro-cc trace info``.
+offline analysis and ``repro-cc trace info``.  The first ten, the
+**stream sections** (:data:`STREAM_SECTIONS`), are everything replay
+reads.
+
+The container — magic, length-prefixed canonical-JSON header, section
+table, payload SHA-256, little-endian tables — is one codec
+(:func:`encode_container`, :func:`decode_container`,
+:func:`read_header`) parameterised by a :class:`Container`: the trace
+(:data:`TRACE`) and the pre-decoded sidecar
+(:data:`repro.trace.predecode.SIDECAR`) are two instances of it.
+:func:`load_streams` and :func:`materialize_stream` are the one path
+from stream sections to ``DynInst`` objects for both.
 
 Every decode error raises :class:`repro.errors.TraceError`; a corrupt,
-truncated, or version-skewed file can never silently misreplay.
+truncated, or version-skewed file can never silently misreplay.  The
+header is outside the payload checksum, so it is validated field by
+field: a JSON object with a non-negative integer ``instructions``, and
+every section the layout declares present, at the layout's typecode,
+with non-negative integer ``count``, ``offset`` and ``bytes`` inside the
+payload.
 """
 
 from __future__ import annotations
@@ -64,7 +80,7 @@ import os
 import struct
 import sys
 from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.stats.histogram import Histogram
@@ -99,6 +115,10 @@ SECTIONS: Tuple[Tuple[str, str], ...] = (
     ("gate_code", "B"),
 )
 
+#: The committed-stream sections: everything :func:`materialize_stream`
+#: reads, and the whole of a pre-decoded sidecar.
+STREAM_SECTIONS = SECTIONS[:10]
+
 #: ``local_hint`` tri-state by flag bits 2-3.
 _HINT_BY_CODE = (None, False, True)
 _CODE_BY_HINT = {None: 0, False: 1, True: 2}
@@ -108,8 +128,255 @@ from repro.isa.opcodes import FuClass  # noqa: E402 - after stdlib block
 _BRANCH = int(FuClass.BRANCH)
 
 
+class Container(NamedTuple):
+    """One file kind of the shared container codec."""
+
+    magic: bytes
+    version: int
+    format: str  # the header's ``format`` field
+    kind: str  # how error messages name the file
+    sections: Tuple[Tuple[str, str], ...]
+
+    @property
+    def prefix(self) -> int:
+        """Bytes before the JSON header: magic plus header length."""
+        return len(self.magic) + _HEADER_LEN.size
+
+
+TRACE = Container(MAGIC, TRACE_FORMAT_VERSION, "repro.trace", "trace",
+                  SECTIONS)
+
+
 def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def encode_container(spec: Container, header: Dict[str, Any],
+                     tables: Dict[str, Any]) -> bytes:
+    """Serialize *tables* in *spec*'s section order; deterministic bytes.
+
+    *header* supplies the file's own fields; ``format``, ``version``,
+    ``byte_order``, ``sections`` and ``payload_sha256`` are added here.
+    A ``bytearray`` table is a bitmap, one bit per instruction, so its
+    count is the header's ``instructions``.
+    """
+    sections: List[Dict[str, Any]] = []
+    chunks: List[bytes] = []
+    position = 0
+    for name, typecode in spec.sections:
+        table = tables[name]
+        if isinstance(table, bytearray):
+            raw = bytes(table)
+            count = header["instructions"]
+        else:
+            count = len(table)
+            if not _LITTLE:
+                table = array(typecode, table)
+                table.byteswap()
+            raw = table.tobytes()
+        sections.append({
+            "name": name,
+            "typecode": typecode,
+            "count": count,
+            "offset": position,
+            "bytes": len(raw),
+        })
+        chunks.append(raw)
+        position += len(raw)
+    payload = b"".join(chunks)
+    header = dict(header, format=spec.format, version=spec.version,
+                  byte_order="little", sections=sections,
+                  payload_sha256=hashlib.sha256(payload).hexdigest())
+    header_bytes = _canonical_json(header).encode("utf-8")
+    return (spec.magic + _HEADER_LEN.pack(len(header_bytes))
+            + header_bytes + payload)
+
+
+def _header_end(prefix: bytes, size: int, spec: Container,
+                origin: str) -> int:
+    """Check magic and header length against a *size*-byte file; returns
+    the payload offset."""
+    if len(prefix) < spec.prefix:
+        raise TraceError(f"{origin}: truncated {spec.kind} (no header)")
+    if prefix[:len(spec.magic)] != spec.magic:
+        raise TraceError(f"{origin}: not a repro {spec.kind} (bad magic)")
+    (header_len,) = _HEADER_LEN.unpack_from(prefix, len(spec.magic))
+    end = spec.prefix + header_len
+    if size < end:
+        raise TraceError(f"{origin}: truncated {spec.kind} header "
+                         f"({header_len} bytes declared)")
+    return end
+
+
+def _parse_header(raw: bytes, spec: Container,
+                  origin: str) -> Dict[str, Any]:
+    """The JSON header, checked to be an object of *spec*'s version."""
+    try:
+        header = json.loads(bytes(raw).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TraceError(
+            f"{origin}: corrupt {spec.kind} header: {exc}") from None
+    if not isinstance(header, dict):
+        raise TraceError(f"{origin}: corrupt {spec.kind} header: "
+                         f"{type(header).__name__}, not an object")
+    version = header.get("version")
+    if version != spec.version:
+        raise TraceError(
+            f"{origin}: {spec.kind} format version {version!r} is not the "
+            f"version this build reads ({spec.version}); re-create the "
+            f"{spec.kind}")
+    return header
+
+
+def _natural(mapping: Dict[str, Any], field: str, where: str) -> int:
+    value = mapping.get(field)
+    if type(value) is not int or value < 0:
+        raise TraceError(f"{where}: {field!r} is {value!r}, not a "
+                         f"non-negative integer")
+    return value
+
+
+def _section_table(header: Dict[str, Any], payload_len: int,
+                   spec: Container,
+                   origin: str) -> Dict[str, Dict[str, Any]]:
+    """Validate ``instructions`` and the section table; sections by name."""
+    _natural(header, "instructions", origin)
+    sections = header.get("sections")
+    if not isinstance(sections, list):
+        raise TraceError(f"{origin}: {spec.kind} header has no section "
+                         f"table")
+    by_name: Dict[str, Dict[str, Any]] = {}
+    for section in sections:
+        if not isinstance(section, dict):
+            raise TraceError(f"{origin}: malformed section entry "
+                             f"{section!r}")
+        name = section.get("name")
+        where = f"{origin}: section {name!r}"
+        for field in ("count", "offset", "bytes"):
+            _natural(section, field, where)
+        end = section["offset"] + section["bytes"]
+        if end > payload_len:
+            raise TraceError(
+                f"{origin}: truncated {spec.kind} payload — section "
+                f"{name!r} needs {end} bytes, {payload_len} present")
+        by_name[name] = section
+    for name, typecode in spec.sections:
+        section = by_name.get(name)
+        if section is None:
+            raise TraceError(
+                f"{origin}: {spec.kind} is missing section {name!r}")
+        if section.get("typecode") != typecode:
+            raise TraceError(
+                f"{origin}: section {name!r} declares typecode "
+                f"{section.get('typecode')!r}, the format's is {typecode!r}")
+    return by_name
+
+
+def decode_container(data: bytes, spec: Container, origin: str,
+                     verify: bool = True
+                     ) -> Tuple[Dict[str, Any], memoryview,
+                                Dict[str, Dict[str, Any]]]:
+    """Validate one encoded file: ``(header, payload, sections by name)``.
+
+    With *verify*, the payload must match the header's SHA-256.
+    """
+    end = _header_end(data, len(data), spec, origin)
+    header = _parse_header(data[spec.prefix:end], spec, origin)
+    payload = memoryview(data)[end:]
+    if verify:
+        got = hashlib.sha256(payload).hexdigest()
+        want = header.get("payload_sha256")
+        if got != want:
+            raise TraceError(
+                f"{origin}: {spec.kind} payload checksum mismatch "
+                f"(header {want}, payload {got}) — corrupt file")
+    return header, payload, _section_table(header, len(payload), spec,
+                                           origin)
+
+
+def read_header(path: str, spec: Container = TRACE) -> Dict[str, Any]:
+    """The validated header of one file, without reading its payload.
+
+    The cheap identity probe: a trace's ``payload_sha256`` is what its
+    sidecar's ``source_sha256`` must equal.  The section table is
+    checked against the file size, so a truncated file fails here too.
+    """
+    try:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            end = _header_end(handle.read(spec.prefix), size, spec, path)
+            raw = handle.read(end - spec.prefix)
+    except OSError as exc:
+        raise TraceError(
+            f"cannot read {spec.kind} {path!r}: {exc}") from None
+    header = _parse_header(raw, spec, path)
+    _section_table(header, size - end, spec, path)
+    return header
+
+
+def load_streams(payload: memoryview, by_name: Dict[str, Dict[str, Any]],
+                 n: int, origin: str) -> Dict[str, array]:
+    """The stream sections as host-order arrays of the layout's typecodes.
+
+    Every table holds *n* entries except ``srcs``, which holds the sum
+    of ``nsrc``.
+    """
+    tables: Dict[str, array] = {}
+    for name, typecode in STREAM_SECTIONS:
+        section = by_name[name]
+        table = array(typecode)
+        expected = sum(tables["nsrc"]) if name == "srcs" else n
+        if section["bytes"] != expected * table.itemsize:
+            raise TraceError(
+                f"{origin}: section {name!r} holds {section['bytes']} "
+                f"bytes, {expected} entries need "
+                f"{expected * table.itemsize}")
+        start = section["offset"]
+        table.frombytes(payload[start:start + section["bytes"]])
+        if not _LITTLE:
+            table.byteswap()
+        tables[name] = table
+    return tables
+
+
+def materialize_stream(tables: Dict[str, array], n: int) -> List[DynInst]:
+    """Build the ``DynInst`` list from :func:`load_streams` tables."""
+    fu = tables["fu"]
+    dst = tables["dst"]
+    nsrc = tables["nsrc"]
+    srcs = tables["srcs"]
+    addr = tables["addr"]
+    size = tables["size"]
+    flags = tables["flags"]
+    frame = tables["frame"]
+    offs = tables["offset"]
+    pc = tables["pc"]
+    insts: List[DynInst] = [None] * n  # type: ignore[list-item]
+    new = DynInst.__new__
+    cls = DynInst
+    hints = _HINT_BY_CODE
+    position = 0
+    for i in range(n):
+        inst = new(cls)
+        inst.fu = fu[i]
+        inst.dst = dst[i]
+        count = nsrc[i]
+        if count:
+            inst.srcs = tuple(srcs[position:position + count])
+            position += count
+        else:
+            inst.srcs = ()
+        inst.addr = addr[i]
+        inst.size = size[i]
+        bits = flags[i]
+        inst.local_hint = hints[(bits >> 2) & 3]
+        inst.is_local = bool(bits & 1)
+        inst.sp_based = bool(bits & 2)
+        inst.frame_id = frame[i]
+        inst.offset = offs[i]
+        inst.pc = pc[i]
+        insts[i] = inst
+    return insts
 
 
 def _stats_header(stats: TraceStats) -> Dict[str, Any]:
@@ -128,15 +395,18 @@ def _stats_header(stats: TraceStats) -> Dict[str, Any]:
     }
 
 
-def _stats_from_header(body: Dict[str, Any]) -> TraceStats:
+def _stats_from_header(body: Dict[str, Any], origin: str) -> TraceStats:
     stats = TraceStats()
-    for field in ("instructions", "loads", "stores", "local_loads",
-                  "local_stores", "sp_based_refs", "ambiguous_refs",
-                  "calls", "max_call_depth"):
-        setattr(stats, field, int(body.get(field, 0)))
     histogram = Histogram()
-    for value, count in body.get("frame_sizes", ()):
-        histogram.add(int(value), int(count))
+    try:
+        for field in ("instructions", "loads", "stores", "local_loads",
+                      "local_stores", "sp_based_refs", "ambiguous_refs",
+                      "calls", "max_call_depth"):
+            setattr(stats, field, int(body.get(field, 0)))
+        for value, count in body.get("frame_sizes", ()):
+            histogram.add(int(value), int(count))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TraceError(f"{origin}: malformed trace stats: {exc}") from None
     stats.frame_sizes = histogram
     return stats
 
@@ -193,179 +463,34 @@ def encode_trace(trace: Trace,
             f"instruction {i} does not fit the trace format: {exc}"
         ) from None
     gates = _default_gates(insts)
-    gate_index = array("I", (g for g, _code in gates))
-    gate_code = array("B", (code for _g, code in gates))
 
     tables = {
         "fu": fu, "dst": dst, "nsrc": nsrc, "srcs": srcs, "addr": addr,
         "size": size, "flags": flags, "frame": frame, "offset": offset,
-        "pc": pc, "branch": branch, "gate_index": gate_index,
-        "gate_code": gate_code,
+        "pc": pc, "branch": branch,
+        "gate_index": array("I", (g for g, _code in gates)),
+        "gate_code": array("B", (code for _g, code in gates)),
     }
-    sections: List[Dict[str, Any]] = []
-    chunks: List[bytes] = []
-    position = 0
-    for name, typecode in SECTIONS:
-        table = tables[name]
-        if isinstance(table, bytearray):
-            raw = bytes(table)
-            count = n  # bit-per-instruction table
-        else:
-            if not _LITTLE:
-                table = array(typecode, table)
-                table.byteswap()
-            raw = table.tobytes()
-            count = len(tables[name])
-        sections.append({
-            "name": name,
-            "typecode": typecode,
-            "count": count,
-            "offset": position,
-            "bytes": len(raw),
-        })
-        chunks.append(raw)
-        position += len(raw)
-    payload = b"".join(chunks)
-
     header: Dict[str, Any] = {
-        "format": "repro.trace",
-        "version": TRACE_FORMAT_VERSION,
         "workload": trace.name,
         "instructions": n,
-        "byte_order": "little",
-        "sections": sections,
         "stats": _stats_header(trace.stats),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     if meta:
         header["meta"] = meta
-    header_bytes = _canonical_json(header).encode("utf-8")
-    return (MAGIC + _HEADER_LEN.pack(len(header_bytes))
-            + header_bytes + payload)
-
-
-def _parse_header(data: bytes, origin: str) -> Tuple[Dict[str, Any], int]:
-    """Validate magic/length/JSON/version; returns (header, payload off)."""
-    if len(data) < len(MAGIC) + _HEADER_LEN.size:
-        raise TraceError(f"{origin}: truncated trace (no header)")
-    if data[:len(MAGIC)] != MAGIC:
-        raise TraceError(f"{origin}: not a repro trace (bad magic)")
-    (header_len,) = _HEADER_LEN.unpack_from(data, len(MAGIC))
-    offset = len(MAGIC) + _HEADER_LEN.size + header_len
-    if len(data) < offset:
-        raise TraceError(f"{origin}: truncated trace header "
-                         f"({header_len} bytes declared)")
-    try:
-        header = json.loads(
-            data[len(MAGIC) + _HEADER_LEN.size:offset].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TraceError(f"{origin}: corrupt trace header: {exc}") from None
-    version = header.get("version")
-    if version != TRACE_FORMAT_VERSION:
-        raise TraceError(
-            f"{origin}: trace format version {version!r} is not the "
-            f"version this build reads ({TRACE_FORMAT_VERSION}); "
-            f"re-capture the trace")
-    return header, offset
-
-
-def _sections_by_name(header: Dict[str, Any], payload_len: int,
-                      origin: str) -> Dict[str, Dict[str, Any]]:
-    by_name: Dict[str, Dict[str, Any]] = {}
-    for section in header.get("sections", ()):
-        by_name[section["name"]] = section
-        end = section["offset"] + section["bytes"]
-        if end > payload_len:
-            raise TraceError(
-                f"{origin}: truncated trace payload — section "
-                f"{section['name']!r} needs {end} bytes, "
-                f"{payload_len} present")
-    for name, _typecode in SECTIONS:
-        if name not in by_name:
-            raise TraceError(f"{origin}: trace is missing section {name!r}")
-    return by_name
-
-
-def _load_section(payload: bytes, section: Dict[str, Any]) -> array:
-    table = array(section["typecode"])
-    table.frombytes(
-        payload[section["offset"]:section["offset"] + section["bytes"]])
-    if not _LITTLE:
-        table.byteswap()
-    return table
+    return encode_container(TRACE, header, tables)
 
 
 def decode_trace(data: bytes, origin: str = "<bytes>",
                  verify: bool = True) -> Trace:
     """Deserialize one trace; raises :class:`TraceError` on any defect."""
-    header, offset = _parse_header(data, origin)
-    payload = memoryview(data)[offset:]
-    by_name = _sections_by_name(header, len(payload), origin)
-    if verify:
-        got = hashlib.sha256(payload).hexdigest()
-        want = header.get("payload_sha256")
-        if got != want:
-            raise TraceError(
-                f"{origin}: trace payload checksum mismatch "
-                f"(header {want}, payload {got}) — corrupt file")
-
+    header, payload, by_name = decode_container(data, TRACE, origin,
+                                                verify)
     n = header["instructions"]
-    fu = _load_section(payload, by_name["fu"])
-    dst = _load_section(payload, by_name["dst"])
-    nsrc = _load_section(payload, by_name["nsrc"])
-    srcs = _load_section(payload, by_name["srcs"])
-    addr = _load_section(payload, by_name["addr"])
-    size = _load_section(payload, by_name["size"])
-    flags = _load_section(payload, by_name["flags"])
-    frame = _load_section(payload, by_name["frame"])
-    offs = _load_section(payload, by_name["offset"])
-    pc = _load_section(payload, by_name["pc"])
-    for name, table in (("fu", fu), ("dst", dst), ("nsrc", nsrc),
-                        ("addr", addr), ("size", size), ("flags", flags),
-                        ("frame", frame), ("offset", offs), ("pc", pc)):
-        if len(table) != n:
-            raise TraceError(
-                f"{origin}: section {name!r} holds {len(table)} entries "
-                f"for {n} instructions")
-
-    insts: List[DynInst] = [None] * n  # type: ignore[list-item]
-    new = DynInst.__new__
-    cls = DynInst
-    hints = _HINT_BY_CODE
-    position = 0
-    try:
-        for i in range(n):
-            inst = new(cls)
-            inst.fu = fu[i]
-            inst.dst = dst[i]
-            count = nsrc[i]
-            if count:
-                inst.srcs = tuple(srcs[position:position + count])
-                position += count
-            else:
-                inst.srcs = ()
-            inst.addr = addr[i]
-            inst.size = size[i]
-            bits = flags[i]
-            inst.local_hint = hints[(bits >> 2) & 3]
-            inst.is_local = bool(bits & 1)
-            inst.sp_based = bool(bits & 2)
-            inst.frame_id = frame[i]
-            inst.offset = offs[i]
-            inst.pc = pc[i]
-            insts[i] = inst
-    except IndexError:
-        raise TraceError(
-            f"{origin}: flat srcs table exhausted at instruction {i} "
-            f"— inconsistent nsrc section") from None
-    if position != len(srcs):
-        raise TraceError(
-            f"{origin}: srcs table has {len(srcs)} entries, "
-            f"instructions consumed {position}")
-
     trace = Trace(header.get("workload", "<trace>"))
-    trace.insts = insts
-    trace.stats = _stats_from_header(header.get("stats", {}))
+    trace.insts = materialize_stream(
+        load_streams(payload, by_name, n, origin), n)
+    trace.stats = _stats_from_header(header.get("stats", {}), origin)
     return trace
 
 
@@ -377,28 +502,6 @@ def read_trace(path: str, verify: bool = True) -> Trace:
     except OSError as exc:
         raise TraceError(f"cannot read trace {path!r}: {exc}") from None
     return decode_trace(data, origin=path, verify=verify)
-
-
-def read_trace_header(path: str) -> Dict[str, Any]:
-    """Parsed header of a trace file without reading the payload.
-
-    The cheap identity probe: ``payload_sha256`` from the returned
-    header is what derived artifacts (the predecode sidecar) are
-    content-addressed to.
-    """
-    try:
-        with open(path, "rb") as handle:
-            prefix = handle.read(len(MAGIC) + _HEADER_LEN.size)
-            if len(prefix) < len(MAGIC) + _HEADER_LEN.size:
-                raise TraceError(f"{path}: truncated trace (no header)")
-            if prefix[:len(MAGIC)] != MAGIC:
-                raise TraceError(f"{path}: not a repro trace (bad magic)")
-            (header_len,) = _HEADER_LEN.unpack_from(prefix, len(MAGIC))
-            header_bytes = handle.read(header_len)
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path!r}: {exc}") from None
-    header, _offset = _parse_header(prefix + header_bytes, origin=path)
-    return header
 
 
 def write_trace(trace: Trace, path: str,
@@ -419,32 +522,17 @@ def trace_info(path: str) -> Dict[str, Any]:
     The declared payload length is checked against the file size, so a
     truncated file is reported here too.
     """
-    try:
-        file_size = os.path.getsize(path)
-        with open(path, "rb") as handle:
-            prefix = handle.read(len(MAGIC) + _HEADER_LEN.size)
-            if len(prefix) < len(MAGIC) + _HEADER_LEN.size:
-                raise TraceError(f"{path}: truncated trace (no header)")
-            if prefix[:len(MAGIC)] != MAGIC:
-                raise TraceError(f"{path}: not a repro trace (bad magic)")
-            (header_len,) = _HEADER_LEN.unpack_from(prefix, len(MAGIC))
-            header_bytes = handle.read(header_len)
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path!r}: {exc}") from None
-    header, offset = _parse_header(
-        prefix + header_bytes, origin=path)
-    payload_len = file_size - offset
-    by_name = _sections_by_name(header, payload_len, path)
-    declared = max(s["offset"] + s["bytes"] for s in by_name.values())
+    header = read_header(path)
     return {
         "path": path,
-        "file_bytes": file_size,
+        "file_bytes": os.path.getsize(path),
         "format": header.get("format"),
         "version": header.get("version"),
         "workload": header.get("workload"),
         "instructions": header.get("instructions"),
         "byte_order": header.get("byte_order"),
-        "payload_bytes": declared,
+        "payload_bytes": max(s["offset"] + s["bytes"]
+                             for s in header["sections"]),
         "payload_sha256": header.get("payload_sha256"),
         "sections": header.get("sections"),
         "stats": header.get("stats"),

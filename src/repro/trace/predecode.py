@@ -1,103 +1,60 @@
-"""Pre-decoded struct-of-arrays sidecar for trace replay.
+"""Pre-decoded sidecar for trace replay, and the materialization memo.
 
-A predecoded sidecar is a **derived** artifact of one captured trace:
-every per-instruction quantity replay needs, fully materialized as flat
-little-endian tables so the per-instruction work of feeding the kernel
-is pure array indexing — no parsing, no per-field bit twiddling, no
-dict lookups:
+A predecoded sidecar (``.pdt``) is a **derived** artifact of one
+captured trace: the trace's own stream sections — ``fu dst nsrc srcs
+addr size flags frame offset pc`` (:data:`repro.trace.format
+.STREAM_SECTIONS`) — stored in the same container as the trace
+(:data:`SIDECAR`, one codec in :mod:`repro.trace.format`).  It drops
+the trace's derived ``branch`` and gate tables and its statistics, and
+its header records ``source_sha256`` — the payload hash of the trace it
+was loaded from — which makes sidecars content-addressed to their
+source: a re-captured trace can never be replayed through a stale
+sidecar.  A sidecar of an older :data:`PREDECODE_VERSION` fails the
+version check and is re-derived like any other defective one.
 
-========= ==== ========================================================
-name      type contents
-========= ==== ========================================================
-fu        B    functional-unit class (``FuClass`` value)
-dst       b    destination register, ``-1`` = none
-src_off   I    prefix sums into ``srcs``: operands of instruction ``i``
-               are ``srcs[src_off[i]:src_off[i + 1]]`` (n+1 entries)
-srcs      b    all source registers, concatenated in stream order
-lat       B    functional-unit latency (``LATENCY_BY_INT[fu]``)
-addr      I    effective byte address (memory ops; else 0)
-word      I    ``addr >> 2`` — the forwarding/combining word number
-line      I    ``addr >> 5`` — the cache line number
-size      B    access width in bytes (memory ops; else 0)
-flags     B    bit0 ``is_local``, bit1 ``sp_based``,
-               bits2-3 ``local_hint`` (0=None, 1=False, 2=True)
-frame     I    activation-record id of the access (region table)
-offset    i    static offset from the frame base (region table)
-pc        I    static instruction index
-========= ==== ========================================================
-
-``src_off``, ``lat``, ``word`` and ``line`` are the derived tables the
-raw trace format does not carry; the rest are copied so a sidecar is
-self-contained.  The on-disk layout mirrors the trace format: magic,
-canonical-JSON header (sorted keys, no whitespace — deterministic
-bytes), then the section tables back to back, checksummed with the
-payload's SHA-256.  The header records ``source_sha256`` — the payload
-hash of the trace the sidecar was derived from — which makes sidecars
-content-addressed to their source: a re-captured trace can never be
-replayed through a stale sidecar.
-
-Every defect — bad magic, truncated payload, checksum mismatch, version
-skew, source mismatch — raises :class:`repro.errors.TraceError`.
+Every defect — bad magic, malformed header, truncated payload, checksum
+mismatch, version skew, source mismatch — raises
+:class:`repro.errors.TraceError`.
 
 Materialization (:func:`materialized_insts`) builds the
-:class:`~repro.vm.trace.DynInst` list the kernel consumes and memoizes
-it per process keyed by ``source_sha256``, so a benchmark repeat or a
-config sweep over one workload pays the object construction once.  The
-memoized list is shared: the kernel treats the committed stream as
-read-only (the golden harness already relies on this).
+:class:`~repro.vm.trace.DynInst` list the kernel consumes through the
+same :func:`~repro.trace.format.materialize_stream` as
+:func:`~repro.trace.format.decode_trace`, and memoizes it per process
+keyed by ``source_sha256``, so a benchmark repeat or a config sweep
+over one workload pays the object construction once.  The memoized
+list is shared: the kernel treats the committed stream as read-only
+(the golden harness already relies on this).
+
+The sidecar stays only because the benchmark writes and reads it; one
+stored format waits on a benchmark change (``docs/trace.md``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import struct
-import sys
 from array import array
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import TraceError
-from repro.isa.opcodes import LATENCY_BY_INT
+from repro.trace import format as tf
 from repro.utils import write_atomic
 from repro.vm.trace import DynInst
 
 #: Bump on any incompatible change to the sidecar layout or semantics.
-PREDECODE_VERSION = 1
+PREDECODE_VERSION = 2
 
 MAGIC = b"RPROPDT1"
 
-_HEADER_LEN = struct.Struct("<I")
-_LITTLE = sys.byteorder == "little"
-
 #: (section name, array typecode) in on-disk order.
-SECTIONS: Tuple[Tuple[str, str], ...] = (
-    ("fu", "B"),
-    ("dst", "b"),
-    ("src_off", "I"),
-    ("srcs", "b"),
-    ("lat", "B"),
-    ("addr", "I"),
-    ("word", "I"),
-    ("line", "I"),
-    ("size", "B"),
-    ("flags", "B"),
-    ("frame", "I"),
-    ("offset", "i"),
-    ("pc", "I"),
-)
+SECTIONS = tf.STREAM_SECTIONS
 
-#: ``local_hint`` tri-state by flag bits 2-3 (same coding as the trace).
-_HINT_BY_CODE = (None, False, True)
-
-
-def _canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+SIDECAR = tf.Container(MAGIC, PREDECODE_VERSION, "repro.trace.predecode",
+                       "sidecar", SECTIONS)
 
 
 class PredecodedTrace:
-    """One sidecar held in memory: the flat tables plus identity."""
+    """One sidecar held in memory: the stream tables plus identity."""
 
     __slots__ = ("workload", "source_sha256", "n", "tables")
 
@@ -125,192 +82,40 @@ decode_count = 0
 
 def predecode_trace(data: bytes, origin: str = "<bytes>",
                     verify: bool = True) -> PredecodedTrace:
-    """Derive the sidecar tables from one *encoded* trace.
-
-    Works straight off the raw section tables — the intermediate
-    ``DynInst`` list is never built.
-    """
+    """Load the sidecar tables — the stream sections — from one *encoded*
+    trace; the ``DynInst`` list is never built."""
     global decode_count
     decode_count += 1
-
-    from repro.trace import format as tf
-
-    header, offset = tf._parse_header(data, origin)
-    payload = memoryview(data)[offset:]
-    by_name = tf._sections_by_name(header, len(payload), origin)
-    if verify:
-        got = hashlib.sha256(payload).hexdigest()
-        want = header.get("payload_sha256")
-        if got != want:
-            raise TraceError(
-                f"{origin}: trace payload checksum mismatch "
-                f"(header {want}, payload {got}) — corrupt file")
+    header, payload, by_name = tf.decode_container(data, tf.TRACE, origin,
+                                                   verify)
     source_sha = header.get("payload_sha256")
     if not source_sha:
         raise TraceError(f"{origin}: trace header lacks payload_sha256")
-
     n = header["instructions"]
-    fu = tf._load_section(payload, by_name["fu"])
-    nsrc = tf._load_section(payload, by_name["nsrc"])
-    addr = tf._load_section(payload, by_name["addr"])
-    if len(fu) != n or len(nsrc) != n or len(addr) != n:
-        raise TraceError(f"{origin}: section length mismatch "
-                         f"({n} instructions declared)")
-
-    src_off = array("I", bytes(4 * (n + 1)))
-    position = 0
-    for i in range(n):
-        src_off[i] = position
-        position += nsrc[i]
-    src_off[n] = position
-    srcs = tf._load_section(payload, by_name["srcs"])
-    if position != len(srcs):
-        raise TraceError(
-            f"{origin}: srcs table has {len(srcs)} entries, "
-            f"nsrc sums to {position}")
-    try:
-        lat = array("B", (LATENCY_BY_INT[f] for f in fu))
-    except (IndexError, OverflowError) as exc:
-        raise TraceError(
-            f"{origin}: unknown functional-unit class: {exc}") from None
-    word = array("I", (a >> 2 for a in addr))
-    line = array("I", (a >> 5 for a in addr))
-
-    tables: Dict[str, array] = {
-        "fu": fu,
-        "dst": tf._load_section(payload, by_name["dst"]),
-        "src_off": src_off,
-        "srcs": srcs,
-        "lat": lat,
-        "addr": addr,
-        "word": word,
-        "line": line,
-        "size": tf._load_section(payload, by_name["size"]),
-        "flags": tf._load_section(payload, by_name["flags"]),
-        "frame": tf._load_section(payload, by_name["frame"]),
-        "offset": tf._load_section(payload, by_name["offset"]),
-        "pc": tf._load_section(payload, by_name["pc"]),
-    }
-    for name, _typecode in SECTIONS:
-        expected = position if name == "srcs" else (
-            n + 1 if name == "src_off" else n)
-        if len(tables[name]) != expected:
-            raise TraceError(
-                f"{origin}: derived section {name!r} holds "
-                f"{len(tables[name])} entries, expected {expected}")
-    return PredecodedTrace(header.get("workload", "<trace>"),
-                           source_sha, n, tables)
+    return PredecodedTrace(header.get("workload", "<trace>"), source_sha,
+                           n, tf.load_streams(payload, by_name, n, origin))
 
 
 def encode_predecoded(pdt: PredecodedTrace) -> bytes:
     """Serialize one sidecar; deterministic bytes (canonical header)."""
-    sections: List[Dict[str, Any]] = []
-    chunks: List[bytes] = []
-    position = 0
-    for name, typecode in SECTIONS:
-        table = pdt.tables[name]
-        if not _LITTLE:
-            table = array(typecode, table)
-            table.byteswap()
-        raw = table.tobytes()
-        sections.append({
-            "name": name,
-            "typecode": typecode,
-            "count": len(pdt.tables[name]),
-            "offset": position,
-            "bytes": len(raw),
-        })
-        chunks.append(raw)
-        position += len(raw)
-    payload = b"".join(chunks)
-    header = {
-        "format": "repro.trace.predecode",
-        "version": PREDECODE_VERSION,
+    return tf.encode_container(SIDECAR, {
         "workload": pdt.workload,
         "instructions": pdt.n,
-        "byte_order": "little",
         "source_sha256": pdt.source_sha256,
-        "sections": sections,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    header_bytes = _canonical_json(header).encode("utf-8")
-    return (MAGIC + _HEADER_LEN.pack(len(header_bytes))
-            + header_bytes + payload)
+    }, pdt.tables)
 
 
 def decode_predecoded(data: bytes, origin: str = "<bytes>",
                       verify: bool = True) -> PredecodedTrace:
     """Deserialize one sidecar; raises ``TraceError`` on any defect."""
-    if len(data) < len(MAGIC) + _HEADER_LEN.size:
-        raise TraceError(f"{origin}: truncated sidecar (no header)")
-    if data[:len(MAGIC)] != MAGIC:
-        raise TraceError(f"{origin}: not a predecoded sidecar (bad magic)")
-    (header_len,) = _HEADER_LEN.unpack_from(data, len(MAGIC))
-    offset = len(MAGIC) + _HEADER_LEN.size + header_len
-    if len(data) < offset:
-        raise TraceError(f"{origin}: truncated sidecar header "
-                         f"({header_len} bytes declared)")
-    try:
-        header = json.loads(
-            data[len(MAGIC) + _HEADER_LEN.size:offset].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TraceError(
-            f"{origin}: corrupt sidecar header: {exc}") from None
-    version = header.get("version")
-    if version != PREDECODE_VERSION:
-        raise TraceError(
-            f"{origin}: sidecar version {version!r} is not the version "
-            f"this build reads ({PREDECODE_VERSION}); re-derive it")
+    header, payload, by_name = tf.decode_container(data, SIDECAR, origin,
+                                                   verify)
     source_sha = header.get("source_sha256")
     if not source_sha:
         raise TraceError(f"{origin}: sidecar lacks source_sha256")
-    payload = memoryview(data)[offset:]
-    if verify:
-        got = hashlib.sha256(payload).hexdigest()
-        want = header.get("payload_sha256")
-        if got != want:
-            raise TraceError(
-                f"{origin}: sidecar payload checksum mismatch "
-                f"(header {want}, payload {got}) — corrupt file")
-    by_name: Dict[str, Dict[str, Any]] = {}
-    for section in header.get("sections", ()):
-        by_name[section["name"]] = section
-        end = section["offset"] + section["bytes"]
-        if end > len(payload):
-            raise TraceError(
-                f"{origin}: truncated sidecar payload — section "
-                f"{section['name']!r} needs {end} bytes, "
-                f"{len(payload)} present")
     n = header["instructions"]
-    tables: Dict[str, array] = {}
-    for name, typecode in SECTIONS:
-        section = by_name.get(name)
-        if section is None:
-            raise TraceError(
-                f"{origin}: sidecar is missing section {name!r}")
-        table = array(typecode)
-        table.frombytes(
-            payload[section["offset"]:section["offset"]
-                    + section["bytes"]])
-        if not _LITTLE:
-            table.byteswap()
-        tables[name] = table
-    if len(tables["src_off"]) != n + 1:
-        raise TraceError(
-            f"{origin}: src_off holds {len(tables['src_off'])} entries "
-            f"for {n} instructions")
-    for name in ("fu", "dst", "lat", "addr", "word", "line", "size",
-                 "flags", "frame", "offset", "pc"):
-        if len(tables[name]) != n:
-            raise TraceError(
-                f"{origin}: section {name!r} holds {len(tables[name])} "
-                f"entries for {n} instructions")
-    if len(tables["srcs"]) != tables["src_off"][n]:
-        raise TraceError(
-            f"{origin}: srcs table has {len(tables['srcs'])} entries, "
-            f"src_off declares {tables['src_off'][n]}")
-    return PredecodedTrace(header.get("workload", "<trace>"),
-                           source_sha, n, tables)
+    return PredecodedTrace(header.get("workload", "<trace>"), source_sha,
+                           n, tf.load_streams(payload, by_name, n, origin))
 
 
 def read_predecoded(path: str, verify: bool = True) -> PredecodedTrace:
@@ -361,55 +166,15 @@ def materialized_insts(pdt: PredecodedTrace) -> List[DynInst]:
     sweeps) return the same list object without rebuilding it.
     """
     global decode_count
+    # Not through materialized_cached: profilers count its calls as memo
+    # probes, and this is a lookup on an already-loaded sidecar.
     cached = _MATERIALIZED.get(pdt.source_sha256)
     if cached is not None:
         _MATERIALIZED.move_to_end(pdt.source_sha256)
         return cached
     decode_count += 1
-    insts = _materialize(pdt)
+    insts = tf.materialize_stream(pdt.tables, pdt.n)
     _MATERIALIZED[pdt.source_sha256] = insts
     while len(_MATERIALIZED) > _MATERIALIZED_CAP:
         _MATERIALIZED.popitem(last=False)
-    return insts
-
-
-def _materialize(pdt: PredecodedTrace) -> List[DynInst]:
-    """Build the ``DynInst`` list by pure array indexing."""
-    t = pdt.tables
-    n = pdt.n
-    fu = t["fu"]
-    dst = t["dst"]
-    src_off = t["src_off"]
-    srcs = t["srcs"]
-    addr = t["addr"]
-    size = t["size"]
-    flags = t["flags"]
-    frame = t["frame"]
-    offs = t["offset"]
-    pc = t["pc"]
-    hints = _HINT_BY_CODE
-    new = DynInst.__new__
-    cls = DynInst
-    insts: List[DynInst] = [None] * n  # type: ignore[list-item]
-    position = 0
-    for i in range(n):
-        inst = new(cls)
-        inst.fu = fu[i]
-        inst.dst = dst[i]
-        end = src_off[i + 1]
-        if end > position:
-            inst.srcs = tuple(srcs[position:end])
-            position = end
-        else:
-            inst.srcs = ()
-        inst.addr = addr[i]
-        inst.size = size[i]
-        bits = flags[i]
-        inst.local_hint = hints[(bits >> 2) & 3]
-        inst.is_local = bool(bits & 1)
-        inst.sp_based = bool(bits & 2)
-        inst.frame_id = frame[i]
-        inst.offset = offs[i]
-        inst.pc = pc[i]
-        insts[i] = inst
     return insts

@@ -1,12 +1,14 @@
 """Trace-driven replay: pre-decoded flat arrays straight into the kernel.
 
-Replay is the hot path the capture layer exists for.  It loads a
-serialized committed stream (:mod:`repro.trace.format`), materialises
-the :class:`~repro.vm.trace.DynInst` sequence with bulk array loads, and
-hands it to the **unmodified** staged timing kernel — no VM, no
-compiler, no workload generator on the path.  Because the kernel
-consumes only the committed stream (frontend gate lists are a pure
-function of it, recomputed at bind time), a replayed run is
+Replay is the hot path the capture layer exists for.
+:func:`replay_insts` resolves a serialized committed stream
+(:mod:`repro.trace.format`) to its :class:`~repro.vm.trace.DynInst`
+sequence — from the per-process materialization memo, else the ``.pdt``
+sidecar, else the raw trace (:mod:`repro.trace.predecode`) — and
+:func:`replay_fast` hands it to the **unmodified** staged timing kernel:
+no VM, no compiler, no workload generator on the path.  Because the
+kernel consumes only the committed stream (frontend gate lists are a
+pure function of it, recomputed at bind time), a replayed run is
 **bit-identical** to the execution-driven run it was captured from:
 same cycles, same instruction count, same counter dictionary, for every
 machine configuration.  :func:`check_replay_equivalence` enforces that
@@ -20,52 +22,30 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.core.config import MachineConfig
 from repro.core.metrics import SimResult
 from repro.core.processor import Processor
-from repro.trace.format import read_trace
 from repro.vm.trace import Trace
 
 TraceSource = Union[str, Trace]
 
 
-def load_trace(source: TraceSource, verify: bool = True) -> Trace:
-    """*source* as an in-memory :class:`Trace` (path → decode)."""
-    if isinstance(source, Trace):
-        return source
-    return read_trace(source, verify=verify)
-
-
-def replay(source: TraceSource, config: MachineConfig,
-           workload: Optional[str] = None,
-           verify: bool = True) -> SimResult:
-    """Run one timing simulation from a captured trace.
-
-    *source* is a trace file path or an already-loaded :class:`Trace`.
-    The result is indistinguishable from
-    ``Processor(config).run(...)`` over the execution-driven stream.
-    """
-    trace = load_trace(source, verify=verify)
-    return Processor(config).run(
-        trace.insts, workload if workload else trace.name)
-
-
 def replay_insts(source: TraceSource,
                  verify: bool = True) -> Tuple[List, str]:
-    """The committed stream for *source* via the pre-decoded fast path.
+    """The committed stream for *source*: ``(insts, workload name)``.
 
-    Returns ``(insts, workload name)``.  A trace file path is routed
-    through :mod:`repro.trace.predecode`: a ``.pdt`` sidecar next to
-    the file is used when present and matching (checksummed, source-
-    hash-checked), else the tables are derived in memory from the raw
-    trace; either way the ``DynInst`` materialization is memoized per
-    process, so repeats and config sweeps over one trace decode it
-    once.  The stream is bit-identical to ``load_trace(...).insts``.
+    A trace file path is routed through :mod:`repro.trace.predecode`:
+    a ``.pdt`` sidecar next to the file is used when present and
+    matching (checksummed, source-hash-checked), else the tables are
+    loaded in memory from the raw trace; either way the ``DynInst``
+    materialization is memoized per process, so repeats and config
+    sweeps over one trace decode it once.  The stream is bit-identical
+    to ``decode_trace(...).insts``.
     """
     if isinstance(source, Trace):
         return source.insts, source.name
     from repro.errors import TraceError
     from repro.trace import predecode as _pd
-    from repro.trace.format import read_trace_header
+    from repro.trace.format import read_header
 
-    header = read_trace_header(source)
+    header = read_header(source)
     source_sha = header.get("payload_sha256")
     if source_sha:
         cached = _pd.materialized_cached(source_sha)
@@ -73,14 +53,12 @@ def replay_insts(source: TraceSource,
             return cached, header.get("workload", "<trace>")
     pdt = None
     if source.endswith(".trace"):
-        sidecar = source[:-len(".trace")] + ".pdt"
         try:
-            with open(sidecar, "rb") as handle:
-                pdt = _pd.decode_predecoded(
-                    handle.read(), origin=sidecar, verify=verify)
+            pdt = _pd.read_predecoded(
+                source[:-len(".trace")] + ".pdt", verify=verify)
             if pdt.source_sha256 != source_sha:
                 pdt = None  # sidecar derived from an older capture
-        except (OSError, TraceError):
+        except TraceError:
             pdt = None  # absent, stale, or corrupt — derive below
     if pdt is None:
         with open(source, "rb") as handle:
@@ -92,11 +70,12 @@ def replay_insts(source: TraceSource,
 def replay_fast(source: TraceSource, config: MachineConfig,
                 workload: Optional[str] = None,
                 verify: bool = True) -> SimResult:
-    """:func:`replay` through the pre-decoded fast path.
+    """Run one timing simulation from a captured trace.
 
-    Same result bit for bit; the difference is cost shape — sidecar
-    tables instead of trace parsing, and a memoized stream shared
-    across repeats in this process.
+    *source* is a trace file path or an already-loaded :class:`Trace`;
+    the stream comes from :func:`replay_insts`.  The result is
+    indistinguishable from ``Processor(config).run(...)`` over the
+    execution-driven stream.
     """
     insts, name = replay_insts(source, verify=verify)
     return Processor(config).run(insts, workload if workload else name)

@@ -187,23 +187,5 @@ class Trace:
     def __iter__(self):
         return iter(self.insts)
 
-    def save(self, path: str) -> str:
-        """Serialize this trace to *path* in the ``repro.trace`` format.
-
-        Convenience hook for capture callers holding a VM's trace;
-        the format lives in :mod:`repro.trace.format` (imported lazily —
-        the VM layer has no hard dependency on the trace subsystem).
-        """
-        from repro.trace.format import write_trace
-
-        return write_trace(self, path)
-
-    @staticmethod
-    def load(path: str) -> "Trace":
-        """Deserialize a trace previously written with :meth:`save`."""
-        from repro.trace.format import read_trace
-
-        return read_trace(path)
-
     def __repr__(self) -> str:
         return f"Trace({self.name!r}, {len(self.insts)} insts)"

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import struct
 
 import pytest
 
 from repro.errors import TraceError
+from repro.trace import predecode
 from repro.trace.format import (
     MAGIC,
     SECTIONS,
@@ -18,7 +21,7 @@ from repro.trace.format import (
     trace_info,
     write_trace,
 )
-from repro.workloads.builder import build_trace
+from repro.workloads.builder import build_trace, build_trace_uncached
 
 FIELDS = ("fu", "dst", "srcs", "addr", "size", "local_hint", "is_local",
           "sp_based", "frame_id", "offset", "pc")
@@ -37,13 +40,20 @@ def data(trace):
 
 
 def _patch_header(data: bytes, mutate) -> bytes:
-    """Rewrite the JSON header in place (payload untouched)."""
-    (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+    """Rewrite the JSON header in place (payload untouched).
+
+    *mutate* edits the header, or returns a replacement for it.  Works
+    on any container (trace or sidecar): the magic is kept.
+    """
+    magic = data[:_HEADER_START - 4]
+    (header_len,) = struct.unpack_from("<I", data, len(magic))
     header = json.loads(data[_HEADER_START:_HEADER_START + header_len])
-    mutate(header)
+    replaced = mutate(header)
+    if replaced is not None:
+        header = replaced
     raw = json.dumps(header, sort_keys=True,
                      separators=(",", ":")).encode("utf-8")
-    return (MAGIC + struct.pack("<I", len(raw)) + raw
+    return (magic + struct.pack("<I", len(raw)) + raw
             + data[_HEADER_START + header_len:])
 
 
@@ -158,3 +168,76 @@ def test_missing_section_rejected(data):
 def test_nonexistent_file_rejected(tmp_path):
     with pytest.raises(TraceError, match="cannot read trace"):
         read_trace(str(tmp_path / "absent.trace"))
+
+
+def _set_section(index, field, value):
+    def mutate(header):
+        header["sections"][index][field] = value
+    return mutate
+
+
+def _drop_field(field, index=None):
+    def mutate(header):
+        del (header if index is None else header["sections"][index])[field]
+    return mutate
+
+
+#: Malformed but parseable headers: the header is outside the payload
+#: checksum, so each must be refused field by field.
+HEADER_DEFECTS = {
+    "not-an-object": lambda header: [],
+    "no-instructions": _drop_field("instructions"),
+    "negative-instructions": lambda header: header.update(instructions=-1),
+    "section-without-offset": _drop_field("offset", 0),
+    "section-without-bytes": _drop_field("bytes", 1),
+    "section-without-count": _drop_field("count", 2),
+    "string-offset": _set_section(0, "offset", "0"),
+    "negative-bytes": _set_section(1, "bytes", -1),
+    "fractional-count": _set_section(2, "count", 1.5),
+    "typecode-disagrees": _set_section(0, "typecode", "b"),
+}
+
+
+def _run_entry(entry, data, mutate, tmp_path):
+    if entry == "decode_predecoded":
+        blob = predecode.encode_predecoded(predecode.predecode_trace(data))
+        return predecode.decode_predecoded(_patch_header(blob, mutate))
+    patched = _patch_header(data, mutate)
+    if entry == "decode_trace":
+        return decode_trace(patched)
+    if entry == "predecode_trace":
+        return predecode.predecode_trace(patched)
+    path = tmp_path / "bad.trace"
+    path.write_bytes(patched)
+    return trace_info(str(path))
+
+
+@pytest.mark.parametrize("entry", ["decode_trace", "predecode_trace",
+                                   "decode_predecoded", "trace_info"])
+@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+def test_malformed_header_raises_trace_error(entry, defect, data,
+                                             tmp_path):
+    with pytest.raises(TraceError):
+        _run_entry(entry, data, HEADER_DEFECTS[defect], tmp_path)
+
+
+_EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                         "perfbench", "expected.json")
+
+
+def _synthetic_pins():
+    with open(_EXPECTED) as handle:
+        synthetic = json.load(handle)["synthetic"]
+    return [(name, synthetic["length"], synthetic["gen_seed"],
+             entry["trace_sha256"])
+            for name, entry in sorted(synthetic["programs"].items())]
+
+
+@pytest.mark.parametrize("program,length,seed,sha256", _synthetic_pins())
+def test_trace_bytes_match_the_benchmark_pins(program, length, seed,
+                                              sha256):
+    """``encode_trace`` bytes of the benchmark's synthetic traces are
+    pinned: any change to the format or the generator shows here."""
+    trace = build_trace_uncached(program, length=length, seed=seed)
+    assert len(trace) == length
+    assert hashlib.sha256(encode_trace(trace)).hexdigest() == sha256

@@ -18,7 +18,14 @@ from repro.core.processor import Processor
 from repro.errors import TraceError
 from repro.perf.golden import GOLDEN_CONFIGS, diff_results, golden_config
 from repro.trace import predecode
-from repro.trace.format import decode_trace, encode_trace, write_trace
+from repro.trace.format import (
+    STREAM_SECTIONS,
+    TRACE,
+    decode_container,
+    decode_trace,
+    encode_trace,
+    write_trace,
+)
 from repro.trace.predecode import (
     MAGIC,
     decode_predecoded,
@@ -28,7 +35,7 @@ from repro.trace.predecode import (
     read_predecoded,
     write_predecoded,
 )
-from repro.trace.replay import replay, replay_fast, replay_insts
+from repro.trace.replay import replay_fast, replay_insts
 
 _FIELDS = ("fu", "dst", "srcs", "addr", "size", "local_hint", "is_local",
            "sp_based", "frame_id", "offset", "pc")
@@ -46,11 +53,13 @@ def li_blob(small_li_trace):
     return encode_trace(small_li_trace)
 
 
-def _mutate_header(blob: bytes, **changes) -> bytes:
-    """Re-pack a sidecar blob with header fields overridden."""
+def _mutate_header(blob: bytes, drop=(), **changes) -> bytes:
+    """Re-pack a sidecar blob with header fields dropped or overridden."""
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
     start = len(MAGIC) + 4
     header = json.loads(blob[start:start + header_len])
+    for field in drop:
+        del header[field]
     header.update(changes)
     raw = json.dumps(header, sort_keys=True,
                      separators=(",", ":")).encode("utf-8")
@@ -67,20 +76,22 @@ def test_round_trip_is_deterministic(li_blob):
     assert blob1 == blob3
 
 
-def test_derived_tables_are_consistent(li_blob, small_li_trace):
-    from repro.isa.opcodes import LATENCY_BY_INT
-
+def test_sidecar_tables_are_the_trace_stream_sections(li_blob,
+                                                     small_li_trace):
+    """A sidecar holds exactly the raw trace's stream sections, byte for
+    byte: same names, order, typecodes and contents."""
     pdt = predecode_trace(li_blob)
-    t = pdt.tables
     assert pdt.n == len(small_li_trace.insts)
-    assert len(t["src_off"]) == pdt.n + 1
-    assert t["src_off"][pdt.n] == len(t["srcs"])
-    for i, inst in enumerate(small_li_trace.insts):
-        assert t["lat"][i] == LATENCY_BY_INT[inst.fu]
-        assert t["word"][i] == inst.addr >> 2
-        assert t["line"][i] == inst.addr >> 5
-        lo, hi = t["src_off"][i], t["src_off"][i + 1]
-        assert tuple(t["srcs"][lo:hi]) == inst.srcs
+    assert list(pdt.tables) == [name for name, _ in STREAM_SECTIONS]
+    assert [name for name, _ in predecode.SECTIONS] == [
+        "fu", "dst", "nsrc", "srcs", "addr", "size", "flags", "frame",
+        "offset", "pc"]
+    _header, payload, by_name = decode_container(li_blob, TRACE, "<li>")
+    for name, typecode in STREAM_SECTIONS:
+        section = by_name[name]
+        raw = payload[section["offset"]:section["offset"] + section["bytes"]]
+        assert pdt.tables[name].typecode == typecode
+        assert pdt.tables[name].tobytes() == raw.tobytes()
 
 
 def test_materialize_matches_raw_decode(li_blob):
@@ -182,11 +193,17 @@ def test_sidecar_replay_second_workload(small_vortex_trace):
     assert diff_results("147.vortex", "2+2:opt", expected, actual) == []
 
 
+def _raw_result(path, config):
+    with open(path, "rb") as handle:
+        insts = decode_trace(handle.read(), origin=path).insts
+    return Processor(config).run(insts, "130.li")
+
+
 def test_replay_fast_from_file(small_li_trace, tmp_path,
                                decoupled_config):
     path = str(tmp_path / "li.trace")
     write_trace(small_li_trace, path)
-    expected = replay(path, decoupled_config)
+    expected = _raw_result(path, decoupled_config)
     # No sidecar yet: derived in memory.
     actual = replay_fast(path, decoupled_config)
     assert diff_results("130.li", "2+2:opt", expected, actual) == []
@@ -201,15 +218,47 @@ def test_replay_fast_from_file(small_li_trace, tmp_path,
     assert insts_a is insts_b
 
 
+def _stale_source(blob: bytes) -> bytes:
+    pdt = decode_predecoded(blob)
+    pdt.source_sha256 = "f" * 64
+    return encode_predecoded(pdt)
+
+
+def _old_version(blob: bytes) -> bytes:
+    return _mutate_header(blob, version=predecode.PREDECODE_VERSION - 1)
+
+
+def _no_instructions(blob: bytes) -> bytes:
+    return _mutate_header(blob, drop=("instructions",))
+
+
+def _spoiled_replay(spoil, trace, tmp_path, config):
+    """replay_fast with *spoil* applied to the sidecar, and the raw-decode
+    result it must equal."""
+    path = str(tmp_path / "li.trace")
+    write_trace(trace, path)
+    blob = encode_predecoded(predecode_trace(open(path, "rb").read()))
+    (tmp_path / "li.pdt").write_bytes(spoil(blob))
+    predecode.clear_materialized()
+    return replay_fast(path, config), _raw_result(path, config)
+
+
 def test_stale_sidecar_is_ignored(small_li_trace, tmp_path,
                                   decoupled_config):
-    path = str(tmp_path / "li.trace")
-    write_trace(small_li_trace, path)
-    expected = replay(path, decoupled_config)
-    pdt = predecode_trace(open(path, "rb").read())
-    pdt.source_sha256 = "0" * 64
-    write_predecoded(pdt, str(tmp_path / "li.pdt"))
-    actual = replay_fast(path, decoupled_config)
+    """A sidecar of another capture or of an older PREDECODE_VERSION is
+    ignored: replay derives from the raw trace."""
+    for spoil in (_stale_source, _old_version):
+        actual, expected = _spoiled_replay(spoil, small_li_trace, tmp_path,
+                                           decoupled_config)
+        assert diff_results("130.li", "2+2:opt", expected, actual) == []
+
+
+def test_malformed_sidecar_header_is_ignored(small_li_trace, tmp_path,
+                                             decoupled_config):
+    """A parseable sidecar header without ``instructions`` is refused
+    with TraceError, so replay derives from the raw trace."""
+    actual, expected = _spoiled_replay(_no_instructions, small_li_trace,
+                                       tmp_path, decoupled_config)
     assert diff_results("130.li", "2+2:opt", expected, actual) == []
 
 
@@ -222,16 +271,17 @@ def test_store_derives_and_revalidates_sidecar(tmp_path):
     store = TraceStore(str(tmp_path))
     sidecar = store.predecoded_path(job.key)
     assert os.path.exists(sidecar)
-    good = read_predecoded(sidecar)
+    good = open(sidecar, "rb").read()
     # A deleted sidecar is re-derived on the next cache hit.
     os.remove(sidecar)
     _path, cached = capture_trace(job, cache_dir=str(tmp_path))
-    assert cached and os.path.exists(sidecar)
-    # A stale sidecar (wrong source hash) is rewritten, not trusted.
-    stale = read_predecoded(sidecar)
-    stale.source_sha256 = "f" * 64
-    write_predecoded(stale, sidecar)
-    assert store.ensure_predecoded(job.key) == sidecar
-    assert read_predecoded(sidecar).source_sha256 == good.source_sha256
+    assert cached and open(sidecar, "rb").read() == good
+    # A stale sidecar (wrong source hash, old version) is rewritten,
+    # not trusted.
+    for spoil in (_stale_source, _old_version):
+        with open(sidecar, "wb") as handle:
+            handle.write(spoil(good))
+        assert store.ensure_predecoded(job.key) == sidecar
+        assert open(sidecar, "rb").read() == good
     # No stored trace -> no sidecar.
     assert store.ensure_predecoded("0" * 40) is None
