@@ -23,12 +23,6 @@ class SimResult:
         """Committed instructions per cycle."""
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def speedup_over(self, other: "SimResult") -> float:
-        """IPC ratio of this run over *other* (same workload assumed)."""
-        if other.ipc == 0:
-            return 0.0
-        return self.ipc / other.ipc
-
     # -- common derived rates -------------------------------------------------
 
     @property

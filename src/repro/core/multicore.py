@@ -56,15 +56,16 @@ def run_mix(
         kernels.append(kernel(processor, state, limit))
     outs = step_cores(kernels, limit)
 
-    unfinished = [(name, out[1], len(insts))
-                  for (name, insts), out in zip(traces, outs) if out[4]]
+    unfinished = [i for i, out in enumerate(outs) if out[4]]
     if unfinished:
-        name, committed, total = min(
-            unfinished, key=lambda u: u[1] / max(u[2], 1))
+        slowest = min(unfinished, key=lambda i: (
+            outs[i][1] / max(len(traces[i][1]), 1)))
+        name, insts = traces[slowest]
         raise SimulationError(
-            f"mix cycle limit exceeded ({limit}) with "
-            f"{len(unfinished)}/{len(traces)} programs unfinished; "
-            f"slowest program {name!r} at {committed}/{total} committed")
+            f"mix: {len(unfinished)}/{len(traces)} programs unfinished; "
+            f"slowest program {name!r}: "
+            + processors[slowest]._livelock_report(
+                limit, len(insts), outs[slowest][2]))
     return [processor._result(out, len(insts), name)
             for processor, (name, insts), out
             in zip(processors, traces, outs)]

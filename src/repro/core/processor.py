@@ -41,8 +41,12 @@ values — to the straightforward model it replaced (kept verbatim as
 ``repro.perf.reference.ReferenceProcessor`` and enforced by the golden
 equivalence suite in ``tests/perf``).
 
-The stage logic lives in :mod:`repro.core.stages`: one component per
-stage, each a ``bind(state)`` factory closing over the shared
+The processor builds its structures directly: the memory hierarchy
+(:mod:`repro.mem.hierarchy`), the LSQ and LVAQ
+(:class:`~repro.pipeline.memqueue.MemQueue`, entry and index lists
+only), the ROB and the functional-unit pools.  They hold data; the
+rules that act on them live in :mod:`repro.core.stages`: one component
+per stage, each a ``bind(state)`` factory closing over the shared
 :class:`~repro.core.stages.state.CoreState` and returning ``(tick,
 finish)``.  Each cycle runs each tick behind a guard that is provably a
 no-op check (an empty calendar slot cannot wake anyone, a non-COMPLETED
@@ -86,8 +90,9 @@ from repro.core.stages import issue as issue_stage
 from repro.core.stages import memory as memory_stage
 from repro.core.stages import writeback as writeback_stage
 from repro.core.stages.state import CoreState, MASK, RING
-from repro.mem.system import MemorySystem
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.fu import FuPool
+from repro.pipeline.memqueue import INF_SEQ, MemQueue
 from repro.pipeline.rob import Rob, RobEntry
 from repro.stats.counters import CounterSet
 from repro.vm.trace import DynInst
@@ -161,13 +166,10 @@ class Processor:
     def __init__(self, config: MachineConfig):
         self.config = config
         self.counters = CounterSet()
-        self.memsys = MemorySystem(config.mem, config.lsq_size,
-                                   config.lvaq_size, self.counters)
-        # Aliases into the facade, bound once (hot paths and the many
-        # existing callers address these directly).
-        self.hierarchy = self.memsys.hierarchy
-        self.lsq = self.memsys.lsq
-        self.lvaq = self.memsys.lvaq
+        self.hierarchy = MemoryHierarchy(config.mem, self.counters)
+        self.lsq = MemQueue(config.lsq_size, "lsq")
+        # Always built: without an LVC, dispatch never steers to it.
+        self.lvaq = MemQueue(config.lvaq_size, "lvaq")
         self.rob = Rob(config.rob_size)
         self.fus = FuPool(config.ialu_units, config.falu_units,
                           config.imultdiv_units, config.fmultdiv_units)
@@ -232,7 +234,12 @@ class Processor:
         for name, value in shares.items():
             if value:
                 counters.add(name, value)
-        conflict_stalls = self.memsys.conflict_stalls()
+        # Only contended port policies count bank/port conflicts; ideal
+        # arbitration reports no counter at all.
+        conflict_stalls = getattr(self.hierarchy.l1_ports, "conflicts", 0)
+        if self.hierarchy.lvc_ports is not None:
+            conflict_stalls += getattr(self.hierarchy.lvc_ports,
+                                       "conflicts", 0)
         if conflict_stalls:
             counters.add("ports.conflict_stalls", conflict_stalls)
         counters.set("cycles", now)
@@ -400,12 +407,10 @@ class Processor:
             lsq.unserviced_loads = lsq_unserviced
             lvaq.unserviced_loads = lvaq_unserviced
             shares: Dict[str, int] = {}
-            for fin in (commit_finish, writeback_finish,
-                        memory_finish, dispatch_finish):
+            for fin in (commit_finish, writeback_finish, memory_finish,
+                        issue_finish, dispatch_finish):
                 for name, value in fin().items():
                     shares[name] = shares.get(name, 0) + value
-            for name, value in issue_finish(now).items():
-                shares[name] = shares.get(name, 0) + value
             l1_busy = shares.pop("_l1_busy", 0)
             lvc_busy = shares.pop("_lvc_busy", 0)
             if l1_simple:
@@ -438,24 +443,27 @@ class Processor:
                 n_skip_rob_full)
 
     def _livelock_report(self, limit: int, total: int, index: int) -> str:
-        """Diagnosable cycle-limit message (satellite of ISSUE 2)."""
+        """Diagnosable cycle-limit message: where the stopped core stands."""
         rob_entries = self._rob_entries
         head = rob_entries[0] if rob_entries else None
         pending_events = sum(
             len(b) for b in self._ring if b
         ) + sum(len(b) for b in self._overflow.values())
-        lsq, lvaq = self.lsq, self.lvaq
+        queues = []
+        for queue in (self.lsq, self.lvaq):
+            oldest_unknown = next(
+                (qe.rob.seq for qe in queue.entries
+                 if qe.is_store and qe.addr_known_time < 0), INF_SEQ)
+            queues.append(
+                f"{queue.name} {len(queue.entries)}/{queue.size} "
+                f"(unserviced_loads={queue.unserviced_loads}, "
+                f"oldest_unknown_store_seq={oldest_unknown}); ")
         return (
             f"cycle limit exceeded ({limit}) at "
             f"{self._committed}/{total} committed; "
             f"dispatch index {index}; "
             f"rob {len(rob_entries)}/{self._rob_size} head={head!r}; "
-            f"lsq {len(lsq.entries)}/{lsq.size} "
-            f"(unserviced_loads={lsq.unserviced_loads}, "
-            f"oldest_unknown_store_seq={lsq.oldest_unknown_store_seq()}); "
-            f"lvaq {len(lvaq.entries)}/{lvaq.size} "
-            f"(unserviced_loads={lvaq.unserviced_loads}, "
-            f"oldest_unknown_store_seq={lvaq.oldest_unknown_store_seq()}); "
-            f"issuable={len(self._ready_fifo) + len(self._issuable)}; "
+            + "".join(queues)
+            + f"issuable={len(self._ready_fifo) + len(self._issuable)}; "
             f"scheduled_events={pending_events}"
         )

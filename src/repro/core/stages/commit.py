@@ -207,8 +207,8 @@ def bind(state: CoreState):
                 break
         # A retire pass with nothing committed at a queue head is a
         # no-op, so a flag set by a store that then stalled on its port
-        # is harmless.  Both blocks are MemQueue.retire_committed
-        # inlined: drop the committed prefix, unhook each dropped store
+        # is harmless.  Both blocks retire a queue's committed
+        # entries: drop the committed prefix, unhook each dropped store
         # from its word/frame bucket, and advance the non-sp-store
         # cursor past retired positions.  This stage is the only writer
         # of ``base`` / ``_ns_head``, kept canonical on the queues.

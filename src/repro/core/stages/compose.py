@@ -46,7 +46,8 @@ Splicing rules the stage modules must follow (enforced here, loudly):
 - a tick body has no ``return`` except an optional trailing
   ``return <scalars>`` (stripped: the scalars are already kernel
   locals);
-- ``finish`` ends with a single trailing ``return <shares-dict>``.
+- ``finish`` takes no parameters and ends with a single trailing
+  ``return <shares-dict>``.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ _STAGES = (
     (dispatch_stage, "dispatch",
      ("now", "index", "rob_count", "lsq_unserviced", "lvaq_unserviced")),
 )
-
-#: finish() parameters the composer knows how to supply.
-_FINISH_ARGS = {"final_now": "now"}
-
 
 class ComposeError(RuntimeError):
     """A stage module violated the splicing rules."""
@@ -172,10 +169,8 @@ def _stage_parts(module, key: str, positional: Tuple[str, ...],
     tick_text = (body[0], body[-1])
 
     # --- finish: statements plus the trailing shares dict ------------
-    fargs = [a.arg for a in finish.args.args]
-    for a in fargs:
-        if a not in _FINISH_ARGS:
-            raise ComposeError(f"{key}: finish parameter {a} unsupported")
+    if finish.args.args:
+        raise ComposeError(f"{key}: finish must take no parameters")
     fbody = list(finish.body)
     if not (fbody and isinstance(fbody[-1], ast.Return)
             and fbody[-1].value is not None):
@@ -184,7 +179,7 @@ def _stage_parts(module, key: str, positional: Tuple[str, ...],
     for node in ast.walk(ast.Module(body=fbody, type_ignores=[])):
         if isinstance(node, ast.Return):
             raise ComposeError(f"{key}: finish has a mid-body return")
-    return prologue, tick_text, (fargs, fbody, fret)
+    return prologue, tick_text, (fbody, fret)
 
 
 # The kernel skeleton.  ``{...}`` slots receive the spliced stage text;
@@ -333,7 +328,7 @@ def compose_source() -> str:
     fin_names: List[str] = []
 
     for module, key, positional in _STAGES:
-        prologue, (t_first, t_last), (fargs, fbody, fret) = _stage_parts(
+        prologue, (t_first, t_last), (fbody, fret) = _stage_parts(
             module, key, positional, lines_cache)
         for target, text in prologue:
             prior = seen.get(target)
@@ -349,8 +344,6 @@ def compose_source() -> str:
         fin = f"_fin_{key}"
         fin_names.append(fin)
         part = []
-        for a in fargs:
-            part.append(f"        {a} = {_FINISH_ARGS[a]}")
         if fbody:
             part.append(_block(lines_cache[key], fbody[0], fbody[-1],
                                8, 8))

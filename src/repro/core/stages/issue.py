@@ -8,19 +8,19 @@ address generation here (stores may already have resolved theirs via the
 STA split); stores then go to the dedicated store-done lane, everything
 else schedules its completion on the calendar.
 
-The pipelined ALU pools refill at the top of the tick rather than once
-per cycle: nothing but this stage consumes them, so a skipped tick's
-stale budget is unobservable.  ``finish(final_now)`` reconstructs the
-exact end-of-run pool state from the last tick cycle.
+The pipelined ALU budgets are tick locals, refilled at the top of each
+tick rather than once per cycle: nothing but this stage consumes them,
+so a skipped tick's stale budget is unobservable.  Only the MULT/DIV
+unit pools, whose busy-until times outlive a cycle, live on the
+:class:`~repro.pipeline.fu.FuPool`.
 
 Interface: ``bind(state) -> (tick, finish)``.
 
 ``tick(now)``
     may be called every cycle; the kernel skips it when the sleep dict
     and both lanes are empty (provably a no-op).
-``finish(final_now)``
-    writes the ALU budgets back to the pool and returns this stage's
-    counter contributions.
+``finish()``
+    returns this stage's counter contributions.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ def bind(state: CoreState):
     fus_try_take = fus.try_take
     n_ialu = fus.ialu
     n_falu = fus.falu
-    # (ialu_left, falu_left) after the most recent tick, and that tick's
-    # cycle; lets finish() reconstruct the end-of-run pool state.
-    left_after = (fus._ialu_left, fus._falu_left)
-    last_tick = -1
 
     n_stall_fu = 0
 
@@ -80,12 +76,10 @@ def bind(state: CoreState):
              agen_ready_lsq=agen_ready_lsq,
              agen_ready_lvaq=agen_ready_lvaq, lvaq_track=lvaq_track,
              fus_try_take=fus_try_take, n_ialu=n_ialu, n_falu=n_falu):
-        nonlocal left_after, last_tick, n_stall_fu
-        # Refill the pipelined ALU budgets (tick-local; saved at the
-        # bottom so finish() can reconstruct the end-of-run pool state).
+        nonlocal n_stall_fu
+        # Refill the pipelined ALU budgets.
         ialu_left = n_ialu
         falu_left = n_falu
-        last_tick = now
         if sleep:
             slept = sleep_pop(now, None)
             if slept is not None:
@@ -320,16 +314,8 @@ def bind(state: CoreState):
                 # regardless of origin; the merge restores order.
                 for entry in deferred:
                     heappush(woken, (entry.seq, entry))
-        left_after = (ialu_left, falu_left)
 
-    def finish(final_now):
-        # A per-cycle refill would leave full budgets if the final
-        # cycle's tick was skipped; replay that exactly.
-        if last_tick == final_now:
-            fus._ialu_left, fus._falu_left = left_after
-        else:
-            fus._ialu_left = n_ialu
-            fus._falu_left = n_falu
+    def finish():
         return {"stall.fu": n_stall_fu}
 
     return tick, finish

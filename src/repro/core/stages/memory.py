@@ -139,7 +139,7 @@ def bind(state: CoreState):
 
         # ---- LVAQ (fast forwarding + combining) -------------------
         if decoupled and lvaq_unserviced:
-            # Inline oldest_unknown_store_seq: advance the incremental
+            # Oldest unknown-address store: advance the incremental
             # cursor past known-address stores, compacting the consumed
             # prefix past the threshold.
             ulst = lvaq_unknown
@@ -178,7 +178,7 @@ def bind(state: CoreState):
                 lvaq_un_head = uh
                 nonsp_unknown_seq = (ulst[uh].rob.seq if uh < un
                                      else inf_seq)
-                # Inline pending_loads: skip the serviced prefix.
+                # Pending loads: skip the serviced prefix.
                 loads = lvaq_loads_list
                 li = lvaq_load_head
                 n_loads = len(loads)
@@ -367,8 +367,8 @@ def bind(state: CoreState):
                 # --- fast data forwarding (sp-relative pairs) ------
                 blocking_seq = unknown_seq
                 if fast_fwd and qe.sp_based:
-                    # Inline fast_forward_source_fast: the scan's
-                    # outcome is decided by whichever is younger — the
+                    # Fast-forward source: a backward scan's outcome
+                    # is decided by whichever is younger — the
                     # youngest same-key sp store or the youngest
                     # *blocking* non-sp store (unknown address, or
                     # known and aliasing).
@@ -461,7 +461,7 @@ def bind(state: CoreState):
                     n_stall_lvaq_port += 1
                     ports_exhausted = True
                     continue
-                # Inline forward_source_fast, existence only: any
+                # Forwarding source, existence only: any
                 # indexed same-word store older than the load.
                 bucket = lvaq_words_get(qe.word)
                 fwd = False
@@ -575,7 +575,7 @@ def bind(state: CoreState):
 
         # ---- LSQ --------------------------------------------------
         if lsq_unserviced:
-            # Inline oldest_unknown_store_seq (see LVAQ note).
+            # Oldest unknown-address store (see the LVAQ note).
             ulst = lsq_unknown
             uh = lsq_us_head
             un = len(ulst)

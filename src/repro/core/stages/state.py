@@ -70,11 +70,9 @@ class CoreState:
         self.steer = processor.partitioner.steer
 
         # -- frontend --------------------------------------------------
-        self.frontend = processor.frontend
         self.frontend_config = config.frontend
 
         # -- memory system --------------------------------------------
-        self.memsys = processor.memsys
         self.lsq = processor.lsq
         self.lvaq = processor.lvaq
         hierarchy = processor.hierarchy
@@ -95,7 +93,6 @@ class CoreState:
         # tags hit, an access is a counter bump plus an LRU move; any
         # other case falls back to the full ``ready_*`` path BEFORE any
         # state is touched, so the fallback replays the lookup exactly.
-        self.counters = processor.counters
         self.counts = processor.counters._counts
         l1_cache = hierarchy.l1
         self.l1_sets = l1_cache._sets

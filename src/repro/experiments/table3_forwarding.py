@@ -44,15 +44,12 @@ def run(scale: float = DEFAULT_SCALE,
         fast = run_sim(
             name, nm_config(N_PORTS, M_PORTS, fast_forwarding=True), scale
         )
-        loads = fast.counters.get("lvaq.loads")
-        forwards = (fast.counters.get("lvaq.fast_forwards")
-                    + fast.counters.get("lvaq.forwards"))
         rows.append(Table3Row(
             name,
             fast.ipc / base.ipc - 1.0,
-            forwards / loads if loads else 0.0,
+            fast.lvaq_forward_rate,
             fast.counters.get("lvaq.fast_forwards"),
-            loads,
+            fast.counters.get("lvaq.loads"),
         ))
     return rows
 

@@ -9,13 +9,7 @@ from repro.mem.ports import (
     ReplicatedPorts,
     make_ports,
 )
-from repro.mem.hierarchy import (
-    AccessResult,
-    MemoryHierarchy,
-    MemSystemConfig,
-    MshrFile,
-)
-from repro.mem.system import MemorySystem
+from repro.mem.hierarchy import MemoryHierarchy, MemSystemConfig, MshrFile
 
 __all__ = [
     "Cache",
@@ -27,8 +21,6 @@ __all__ = [
     "PORT_POLICIES",
     "make_ports",
     "MshrFile",
-    "AccessResult",
     "MemoryHierarchy",
     "MemSystemConfig",
-    "MemorySystem",
 ]

@@ -81,11 +81,6 @@ class Cache:
 
     # -- queries -------------------------------------------------------------
 
-    def present(self, addr: int) -> bool:
-        """True when the line holding *addr* is resident (no LRU update)."""
-        line = self.geom.line_of(addr)
-        return line in self._sets[self.geom.set_of(line)]
-
     def access(self, addr: int, is_store: bool) -> bool:
         """Look up *addr*; allocate on miss.  Returns hit/miss."""
         geom = self.geom
@@ -161,10 +156,6 @@ class Cache:
     def miss_rate(self) -> float:
         """misses / accesses (0.0 when never accessed)."""
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def resident_lines(self) -> int:
-        """Number of valid lines currently cached."""
-        return sum(len(ways) for ways in self._sets)
 
     def __repr__(self) -> str:
         return f"Cache({self.name!r}, {self.geom!r})"

@@ -50,12 +50,6 @@ class MshrFile:
         self.allocations = 0
         self.full_events = 0
 
-    def _expire(self, now: int) -> None:
-        if self._pending:
-            done = [line for line, t in self._pending.items() if t <= now]
-            for line in done:
-                del self._pending[line]
-
     def lookup(self, line: int, now: int) -> Optional[int]:
         """Ready time of an in-flight fill of *line*, or None.
 
@@ -85,11 +79,6 @@ class MshrFile:
         pending[line] = ready
         self.allocations += 1
         return True
-
-    def occupancy(self, now: int) -> int:
-        """Number of live entries at cycle *now*."""
-        self._expire(now)
-        return len(self._pending)
 
     def __repr__(self) -> str:
         return f"MshrFile({len(self._pending)}/{self.entries} in flight)"
@@ -165,19 +154,6 @@ class MemSystemConfig:
         return f"MemSystemConfig{self.notation()}"
 
 
-class AccessResult:
-    """Outcome of one first-level access."""
-
-    __slots__ = ("ready", "hit")
-
-    def __init__(self, ready: int, hit: bool):
-        self.ready = ready
-        self.hit = hit
-
-    def __repr__(self) -> str:
-        return f"AccessResult(ready={self.ready}, hit={self.hit})"
-
-
 class MemoryHierarchy:
     """L1 + LVC + shared L2 bus + L2 + main memory."""
 
@@ -219,34 +195,16 @@ class MemoryHierarchy:
         #: Hit/miss of the most recent first-level access (set by ``_ready``).
         self.last_hit = False
 
-    # -- per-cycle maintenance ---------------------------------------------
-
-    def new_cycle(self) -> None:
-        """Refill port budgets; call once at the top of every cycle."""
-        self.l1_ports.new_cycle()
-        if self.lvc_ports is not None:
-            self.lvc_ports.new_cycle()
-
     # -- access paths ----------------------------------------------------------
 
-    def access_l1(self, addr: int, is_store: bool, now: int) -> AccessResult:
-        """One L1 transaction (the port must already be reserved)."""
-        ready = self.ready_l1(addr, is_store, now)
-        return AccessResult(ready, self.last_hit)
-
-    def access_lvc(self, addr: int, is_store: bool, now: int) -> AccessResult:
-        """One LVC transaction (the port must already be reserved)."""
-        ready = self.ready_lvc(addr, is_store, now)
-        return AccessResult(ready, self.last_hit)
-
     def ready_l1(self, addr: int, is_store: bool, now: int) -> int:
-        """:meth:`access_l1` without the result object (hot path): returns
+        """One L1 transaction (the port must already be reserved): returns
         the fill-ready cycle and leaves hit/miss in ``last_hit``."""
         return self._ready(self.l1, self.l1_mshr,
                            self.config.l1_hit_latency, addr, is_store, now)
 
     def ready_lvc(self, addr: int, is_store: bool, now: int) -> int:
-        """:meth:`access_lvc` without the result object (hot path)."""
+        """One LVC transaction, as :meth:`ready_l1`."""
         if self.lvc is None or self.lvc_mshr is None:
             raise ConfigError("this configuration has no LVC")
         return self._ready(self.lvc, self.lvc_mshr,
@@ -282,13 +240,6 @@ class MemoryHierarchy:
         if self.l2.access(addr, is_store):
             return bus_at + self.config.l2_latency
         return bus_at + self.config.l2_latency + self.config.mem_latency
-
-    # -- statistics -----------------------------------------------------------
-
-    @property
-    def l2_traffic(self) -> int:
-        """Transactions that crossed the L1/L2 bus (the paper's §4.2.1 stat)."""
-        return self.counters.get("bus.transactions")
 
     def __repr__(self) -> str:
         return f"MemoryHierarchy{self.config.notation()}"

@@ -35,7 +35,7 @@ from repro.core.classify import StreamPartitioner
 from repro.core.config import MachineConfig
 from repro.core.metrics import SimResult
 from repro.mem.cache import CacheGeometry
-from repro.mem.hierarchy import AccessResult, MemSystemConfig
+from repro.mem.hierarchy import MemSystemConfig
 from repro.mem.ports import PortArbiter, make_ports
 from repro.pipeline.memqueue import INF_SEQ, MemQueueEntry
 from repro.pipeline.rob import (
@@ -126,6 +126,19 @@ class _RefMshrFile:
         self._pending[line] = ready
         self.allocations += 1
         return True
+
+
+class AccessResult:
+    """Outcome of one first-level access."""
+
+    __slots__ = ("ready", "hit")
+
+    def __init__(self, ready: int, hit: bool):
+        self.ready = ready
+        self.hit = hit
+
+    def __repr__(self) -> str:
+        return f"AccessResult(ready={self.ready}, hit={self.hit})"
 
 
 class _RefMemoryHierarchy:

@@ -2,9 +2,11 @@
 
 The base machine (paper Table 1) has 16 integer ALUs, 16 FP ALUs, 4 integer
 MULT/DIV units and 4 FP MULT/DIV units.  ALUs are fully pipelined, so they
-are modelled as a per-cycle issue budget.  Multiplies are pipelined on the
-MULT/DIV units; divides occupy a unit for their full latency (R10000
-behaviour), so those pools track per-unit busy-until times.
+are a per-cycle issue budget, which the issue stage keeps as local
+integers refilled from :attr:`FuPool.ialu` / :attr:`FuPool.falu`.
+Multiplies are pipelined on the MULT/DIV units; divides occupy a unit for
+their full latency (R10000 behaviour), so those pools track per-unit
+busy-until times here.
 
 Branches, address generation for loads/stores, and syscalls use integer-ALU
 issue slots.
@@ -34,11 +36,10 @@ _OCCUPANCY = [1] * len(FuClass)
 _OCCUPANCY[int(FuClass.IDIV)] = LATENCY_BY_INT[int(FuClass.IDIV)]
 _OCCUPANCY[int(FuClass.FDIV)] = LATENCY_BY_INT[int(FuClass.FDIV)]
 
-#: Public view of the per-class resource kind, for callers (the processor's
-#: issue stage) that inline the pipelined-ALU fast path and only fall back
-#: to :meth:`FuPool.try_take` for the MULT/DIV unit pools.
+#: Public view of the per-class resource kind, for the issue stage, which
+#: keeps the pipelined-ALU budgets itself and calls :meth:`FuPool.try_take`
+#: only for the MULT/DIV unit pools.
 FU_KIND = _KIND
-IALU_KIND, FALU_KIND = _IALU_KIND, _FALU_KIND
 
 
 class _UnitPool:
@@ -67,36 +68,21 @@ class FuPool:
             raise ConfigError("every functional-unit count must be positive")
         self.ialu = ialu
         self.falu = falu
-        self._ialu_left = ialu
-        self._falu_left = falu
         self._imult = _UnitPool(imultdiv)
         self._fmult = _UnitPool(fmultdiv)
 
-    def new_cycle(self) -> None:
-        """Refill pipelined issue budgets at the start of a cycle."""
-        self._ialu_left = self.ialu
-        self._falu_left = self.falu
-
     def try_take(self, fu: int, now: int) -> bool:
-        """Reserve a unit of class *fu* for an op issuing at cycle *now*."""
-        if not 0 <= fu < len(_KIND):
-            raise ConfigError(f"unknown functional-unit class {fu}")
+        """Reserve a MULT/DIV unit for an op of class *fu* issuing at *now*.
+
+        Multiplies are pipelined (one-cycle occupancy); divides hold the
+        unit for their full latency.
+        """
         kind = _KIND[fu]
-        if kind == _IALU_KIND:
-            if self._ialu_left > 0:
-                self._ialu_left -= 1
-                return True
-            return False
-        if kind == _FALU_KIND:
-            if self._falu_left > 0:
-                self._falu_left -= 1
-                return True
-            return False
-        # Multiplies are pipelined (one-cycle occupancy); divides hold the
-        # unit for their full latency.
         if kind == _IMULT_KIND:
             return self._imult.try_take(now, now + _OCCUPANCY[fu])
-        return self._fmult.try_take(now, now + _OCCUPANCY[fu])
+        if kind == _FMULT_KIND:
+            return self._fmult.try_take(now, now + _OCCUPANCY[fu])
+        raise ConfigError(f"functional-unit class {fu} has no unit pool")
 
     def __repr__(self) -> str:
         return (

@@ -50,11 +50,6 @@ class RobEntry:
         self.mem = None  # MemQueueEntry for loads/stores
         self.in_issuable = False
 
-    @property
-    def completed(self) -> bool:
-        """True once the result (or store address+data) is available."""
-        return self.state == COMPLETED
-
     def __repr__(self) -> str:
         return (
             f"RobEntry(seq={self.seq}, {_STATE_NAMES[self.state]}, "
@@ -78,11 +73,6 @@ class Rob:
         """True when no dispatch slot is free."""
         return len(self.entries) >= self.size
 
-    @property
-    def empty(self) -> bool:
-        """True when nothing is in flight."""
-        return not self.entries
-
     def push(self, entry: RobEntry) -> None:
         """Append a newly dispatched entry; raises when full."""
         if self.full:
@@ -100,16 +90,6 @@ class Rob:
         entry = self.entries.popleft()
         entry.state = COMMITTED
         return entry
-
-    def occupancy(self) -> int:
-        """Entries currently in flight."""
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def __repr__(self) -> str:
         return f"Rob({len(self.entries)}/{self.size})"

@@ -6,9 +6,7 @@ import hashlib
 import os
 import random
 import tempfile
-from typing import Iterable, Iterator, List, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable
 
 WORD_BYTES = 4
 """Size of a machine word in bytes (32-bit ISA)."""
@@ -24,11 +22,6 @@ def log2_int(value: int) -> int:
     if not is_power_of_two(value):
         raise ValueError(f"{value} is not a positive power of two")
     return value.bit_length() - 1
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round *value* down to a multiple of *alignment* (a power of two)."""
-    return value & ~(alignment - 1)
 
 
 def align_up(value: int, alignment: int) -> int:
@@ -47,19 +40,6 @@ def sign_extend(value: int, bits: int) -> int:
 def to_signed32(value: int) -> int:
     """Wrap *value* into the signed 32-bit range."""
     return sign_extend(value, 32)
-
-
-def to_unsigned32(value: int) -> int:
-    """Wrap *value* into the unsigned 32-bit range."""
-    return value & 0xFFFFFFFF
-
-
-def chunked(items: Sequence[T], size: int) -> Iterator[Sequence[T]]:
-    """Yield consecutive slices of *items* of at most *size* elements."""
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    for start in range(0, len(items), size):
-        yield items[start : start + size]
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -117,35 +97,3 @@ def make_rng(seed: int) -> random.Random:
     that experiments are reproducible run to run.
     """
     return random.Random(seed)
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one of *items* with the given relative *weights*."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    return rng.choices(items, weights=weights, k=1)[0]
-
-
-def clamp(value: float, lo: float, hi: float) -> float:
-    """Clamp *value* into the closed interval [lo, hi]."""
-    return max(lo, min(hi, value))
-
-
-def fmt_ratio(numer: float, denom: float, default: float = 0.0) -> float:
-    """Safe division used for rates; returns *default* when denom == 0."""
-    return numer / denom if denom else default
-
-
-def moving_sum(values: Sequence[float], window: int) -> List[float]:
-    """Sliding-window sums, used by a few analysis helpers."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    out: List[float] = []
-    acc = 0.0
-    for i, v in enumerate(values):
-        acc += v
-        if i >= window:
-            acc -= values[i - window]
-        if i >= window - 1:
-            out.append(acc)
-    return out

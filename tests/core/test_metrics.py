@@ -21,12 +21,6 @@ def test_zero_cycles_ipc():
     assert make_result(cycles=0).ipc == 0.0
 
 
-def test_speedup_over():
-    fast = make_result(cycles=100)
-    slow = make_result(cycles=200)
-    assert fast.speedup_over(slow) == pytest.approx(2.0)
-
-
 def test_miss_rates():
     result = make_result(l1__misses=10, l1__accesses=100,
                          lvc__misses=1, lvc__accesses=50)

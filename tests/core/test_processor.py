@@ -1,14 +1,20 @@
 """Tests for the timing simulator.
 
 A mix of micro-traces with hand-checkable timing properties and invariants
-over real workload traces.
+over real workload traces.  :func:`run_all_cores` runs a micro-trace on
+the generated kernel, the portable kernel and the frozen reference core
+and requires all three to agree exactly, so a rule tested through it is
+pinned where it lives: in the stage sources and the reference.
 """
 
 import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.processor import Processor
+from repro.core.stages.state import CoreState
 from repro.isa.opcodes import FuClass
+from repro.perf.golden import diff_results
+from repro.perf.reference import ReferenceProcessor
 from repro.vm.trace import DynInst
 
 IALU = int(FuClass.IALU)
@@ -23,6 +29,39 @@ DATA_ADDR = 0x10000000
 def run(insts, **baseline_kwargs):
     config = MachineConfig.baseline(**baseline_kwargs)
     return Processor(config).run(list(insts), "micro")
+
+
+#: MachineConfig fields :func:`machine` sets after ``baseline``.
+_WINDOW_FIELDS = ("issue_width", "rob_size", "lsq_size", "lvaq_size",
+                  "ialu_units", "falu_units", "imultdiv_units",
+                  "fmultdiv_units")
+
+
+def machine(**kwargs):
+    """``MachineConfig.baseline`` plus window/FU fields from *kwargs*."""
+    window = {k: kwargs.pop(k) for k in _WINDOW_FIELDS if k in kwargs}
+    config = MachineConfig.baseline(**kwargs)
+    for name, value in window.items():
+        setattr(config, name, value)
+    return config
+
+
+def run_all_cores(insts, **kwargs):
+    """Run *insts* on the generated kernel, the portable kernel and the
+    reference core; require exact agreement and return the kernel's
+    :class:`Processor` (after the run) and result."""
+    insts = list(insts)
+    processor = Processor(machine(**kwargs))
+    result = processor.run(insts, "micro")
+    portable_core = Processor(machine(**kwargs))
+    out = portable_core._portable_kernel(
+        CoreState(portable_core, insts), insts)
+    portable = portable_core._result(out, len(insts), "micro")
+    reference = ReferenceProcessor(machine(**kwargs)).run(insts, "micro")
+    name = processor.config.notation()
+    assert diff_results("micro", name, reference, result) == []
+    assert diff_results("micro", name, reference, portable) == []
+    return processor, result
 
 
 def alu(dst, srcs=()):
@@ -131,8 +170,17 @@ def test_fast_forwarding_counted():
         store(STACK_ADDR + 8, local=True, sp_based=True, frame=1, off=8),
         load(8, STACK_ADDR + 8, local=True, sp_based=True, frame=1, off=8),
     ]
-    result = run(pair * 10, l1_ports=2, lvc_ports=2, fast_forwarding=True)
+    _, one = run_all_cores(pair, l1_ports=2, lvc_ports=2,
+                           fast_forwarding=True)
+    assert one.counters.get("lvaq.fast_forwards") == 1
+    assert one.counters.get("lvaq.forwards") == 0
+    _, result = run_all_cores(pair * 10, l1_ports=2, lvc_ports=2,
+                              fast_forwarding=True)
     assert result.counters.get("lvaq.fast_forwards") > 0
+    # Without the option the same pairs forward only by address.
+    _, plain = run_all_cores(pair * 10, l1_ports=2, lvc_ports=2)
+    assert plain.counters.get("lvaq.fast_forwards") == 0
+    assert plain.counters.get("lvaq.forwards") > 0
 
 
 def test_fast_forwarding_does_not_cross_frames():
@@ -140,8 +188,10 @@ def test_fast_forwarding_does_not_cross_frames():
         store(STACK_ADDR + 8, local=True, sp_based=True, frame=1, off=8),
         load(8, STACK_ADDR + 108, local=True, sp_based=True, frame=2, off=8),
     ]
-    result = run(pair * 5, l1_ports=2, lvc_ports=2, fast_forwarding=True)
-    assert result.counters.get("lvaq.fast_forwards", ) == 0
+    _, result = run_all_cores(pair * 5, l1_ports=2, lvc_ports=2,
+                              fast_forwarding=True)
+    assert result.counters.get("lvaq.fast_forwards") == 0
+    assert result.counters.get("lvaq.forwards") == 0
 
 
 def test_combining_reduces_lvc_transactions():
@@ -210,6 +260,54 @@ def test_wider_issue_helps_or_equal(small_li_trace):
     a = Processor(narrow).run(small_li_trace.insts, "li")
     b = Processor(wide).run(small_li_trace.insts, "li")
     assert b.cycles <= a.cycles
+
+
+def _stuck_trace():
+    """A divide the store's address waits on, and a load behind that
+    store: nothing commits for ~34 cycles."""
+    return [DynInst(IDIV, dst=5), store(DATA_ADDR, srcs=(5, 6)),
+            load(8, DATA_ADDR + 4, srcs=(7,))]
+
+
+def test_livelock_report_describes_the_stopped_core():
+    from repro.core.processor import step_cores
+    from repro.core.stages.specialize import kernel_for
+
+    insts = _stuck_trace()
+    processor = Processor(MachineConfig.baseline())
+    state = CoreState(processor, insts)
+    kernel = kernel_for(processor, state)
+    (out,) = step_cores([kernel(processor, state, 10)], 10)
+    assert out[4]  # stopped by the limit
+    report = processor._livelock_report(10, len(insts), out[2])
+    assert "cycle limit exceeded (10) at 0/3 committed" in report
+    assert "dispatch index 3" in report
+    assert "head=RobEntry(seq=0, ISSUED" in report
+    assert ("lsq 2/64 (unserviced_loads=1, oldest_unknown_store_seq=1)"
+            in report)
+
+
+def test_mix_limit_error_carries_the_slowest_core_report(monkeypatch):
+    from repro.core import multicore
+    from repro.core.stages import specialize
+    from repro.errors import SimulationError
+
+    # Stop the mix after ten cycles: the kernels and the driver both
+    # take the smaller limit.
+    real_kernel_for, real_step = specialize.kernel_for, multicore.step_cores
+    monkeypatch.setattr(
+        specialize, "kernel_for",
+        lambda p, s: lambda proc, st, _limit: real_kernel_for(p, s)(
+            proc, st, 10))
+    monkeypatch.setattr(multicore, "step_cores",
+                        lambda kernels, _limit: real_step(kernels, 10))
+    with pytest.raises(SimulationError) as info:
+        multicore.run_mix([("quick", [alu(8)]), ("stuck", _stuck_trace())],
+                          MachineConfig.baseline())
+    message = str(info.value)
+    assert "1/2 programs unfinished; slowest program 'stuck'" in message
+    assert "at 0/3 committed" in message
+    assert "oldest_unknown_store_seq=1" in message
 
 
 def _fake_core(log, name, finish_at, sleep_to=0, limit=20):

@@ -18,7 +18,7 @@ def test_entries_expire():
     mshr = MshrFile(4)
     mshr.allocate(10, ready=20, now=0)
     assert mshr.lookup(10, now=20) is None
-    assert mshr.occupancy(20) == 0
+    assert mshr.merged == 0
 
 
 def test_capacity_limit():
@@ -41,8 +41,10 @@ def test_zero_entries_rejected():
 
 
 def test_occupancy_counts_live_entries():
-    mshr = MshrFile(8)
+    mshr = MshrFile(2)
     mshr.allocate(1, ready=10, now=0)
     mshr.allocate(2, ready=20, now=0)
-    assert mshr.occupancy(0) == 2
-    assert mshr.occupancy(15) == 1
+    # At cycle 15 only line 2 is live: one entry is free, then none.
+    assert mshr.allocate(3, ready=30, now=15)
+    assert not mshr.allocate(4, ready=30, now=15)
+    assert mshr.full_events == 1

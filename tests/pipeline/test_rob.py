@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.isa.opcodes import FuClass
-from repro.pipeline.rob import COMMITTED, COMPLETED, DISPATCHED, Rob, RobEntry
+from repro.pipeline.rob import COMMITTED, DISPATCHED, Rob, RobEntry
 from repro.vm.trace import DynInst
 
 
@@ -14,11 +14,11 @@ def entry(seq):
 
 def test_push_and_head():
     rob = Rob(4)
-    assert rob.empty
+    assert rob.head() is None
     e = entry(0)
     rob.push(e)
     assert rob.head() is e
-    assert not rob.empty
+    assert len(rob.entries) == 1
 
 
 def test_capacity_enforced():
@@ -55,9 +55,8 @@ def test_entry_lifecycle_fields():
     e = entry(5)
     assert e.state == DISPATCHED
     assert e.pending == 0
-    assert not e.completed
-    e.state = COMPLETED
-    assert e.completed
+    assert e.issue_time == e.complete_time == -1
+    assert e.consumers == [] and e.mem is None
 
 
 def test_occupancy():
@@ -65,5 +64,4 @@ def test_occupancy():
     for i in range(5):
         rob.push(entry(i))
     rob.pop_head()
-    assert rob.occupancy() == 4
-    assert len(rob) == 4
+    assert len(rob.entries) == 4
