@@ -355,14 +355,13 @@ def cmd_trace(args) -> int:
         return 1 if failures else 0
 
     # verb == "mix"
+    from repro.runtime.engine import run_sim_jobs
     from repro.runtime.job import MixJob
-    from repro.trace.mix import run_mix_jobs
 
     config = _parse_config(args.config)
     job = MixJob(tuple(args.workloads), config, scale=args.scale,
                  seed=args.seed)
-    (_job, result), = run_mix_jobs(
-        [job], engine_jobs=1, cache_dir=args.cache_dir)
+    (_job, result), = run_sim_jobs([job], cache_dir=args.cache_dir)
     print(f"mix of {len(result.programs)} programs on ({args.config}): "
           f"{result.cycles} cycles")
     for program in result.programs:

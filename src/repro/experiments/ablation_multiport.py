@@ -23,8 +23,9 @@ from typing import Dict, Optional, Sequence
 from repro.core.config import MachineConfig
 from repro.experiments.common import (
     DEFAULT_SCALE,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.utils import geometric_mean
@@ -56,15 +57,14 @@ def run(scale: float = DEFAULT_SCALE,
         programs: Optional[Sequence[str]] = None
         ) -> Dict[str, Dict[str, float]]:
     """IPC relative to ideal(4+0) for each implementation, per program."""
-    rows: Dict[str, Dict[str, float]] = {}
-    configs = _configs()
-    for name in select_programs(programs, INT_PROGRAMS):
-        base = run_sim(name, configs["ideal(4+0)"], scale)
-        rows[name] = {
-            label: run_sim(name, config, scale).ipc / base.ipc
-            for label, config in configs.items()
-        }
-    return rows
+    names = select_programs(programs, INT_PROGRAMS)
+    results = run_jobs(sim_grid(names, _configs(), scale))
+    return {
+        name: {label: (results[name, label].ipc
+                       / results[name, "ideal(4+0)"].ipc)
+               for label in CONFIG_NAMES}
+        for name in names
+    }
 
 
 def render(rows: Dict[str, Dict[str, float]]) -> str:

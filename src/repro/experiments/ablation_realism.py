@@ -20,13 +20,14 @@ stops being ideal?
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import MachineConfig
 from repro.experiments.common import (
     DEFAULT_SCALE,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.utils import geometric_mean
@@ -58,14 +59,13 @@ def _machine(optimized: bool, ports: str, frontend: str) -> MachineConfig:
     return config
 
 
-def _configs() -> Dict[str, Dict[str, MachineConfig]]:
-    """{cell name: {"base": (2+0), "opt": (2+2:opt)}} per realism cell."""
+def _configs() -> Dict[Tuple[str, bool], MachineConfig]:
+    """{(cell name, optimized): machine}: the (2+0) and the (2+2:opt)
+    machine of every realism cell."""
     return {
-        name: {
-            "base": _machine(False, ports, frontend),
-            "opt": _machine(True, ports, frontend),
-        }
+        (name, optimized): _machine(optimized, ports, frontend)
         for name, (ports, frontend) in zip(CONFIG_NAMES, REALISM_GRID)
+        for optimized in (False, True)
     }
 
 
@@ -73,15 +73,14 @@ def run(scale: float = DEFAULT_SCALE,
         programs: Optional[Sequence[str]] = None
         ) -> Dict[str, Dict[str, float]]:
     """Optimized-over-conventional IPC ratio per realism cell, per program."""
-    rows: Dict[str, Dict[str, float]] = {}
-    cells = _configs()
-    for name in select_programs(programs, INT_PROGRAMS):
-        rows[name] = {}
-        for label, pair in cells.items():
-            base = run_sim(name, pair["base"], scale)
-            opt = run_sim(name, pair["opt"], scale)
-            rows[name][label] = opt.ipc / base.ipc
-    return rows
+    names = select_programs(programs, INT_PROGRAMS)
+    results = run_jobs(sim_grid(names, _configs(), scale))
+    return {
+        name: {label: (results[name, (label, True)].ipc
+                       / results[name, (label, False)].ipc)
+               for label in CONFIG_NAMES}
+        for name in names
+    }
 
 
 def render(rows: Dict[str, Dict[str, float]]) -> str:

@@ -15,13 +15,14 @@ three most local-variable-heavy integer programs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import MachineConfig
 from repro.experiments.common import (
     DEFAULT_SCALE,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.utils import geometric_mean
@@ -39,32 +40,41 @@ def _config(rob: int = 128, lvaq: int = 64) -> MachineConfig:
     return config
 
 
+def run(scale: float = DEFAULT_SCALE,
+        programs: Optional[Sequence[str]] = None,
+        rob_sizes: Sequence[int] = ROB_SIZES,
+        lvaq_sizes: Sequence[int] = LVAQ_SIZES,
+        ) -> Tuple[Dict[str, Dict[int, float]], Dict[str, Dict[int, float]]]:
+    """(ROB rows, LVAQ rows): IPC relative to the ROB=128 / LVAQ=64 base,
+    per size, from one simulation grid."""
+    names = select_programs(programs, PROGRAMS)
+    configs = {("rob", size): _config(rob=size)
+               for size in (*rob_sizes, 128)}
+    configs.update({("lvaq", size): _config(lvaq=size)
+                    for size in (*lvaq_sizes, 64)})
+    results = run_jobs(sim_grid(names, configs, scale))
+
+    def relative(axis: str, sizes: Sequence[int], base: int):
+        return {name: {size: (results[name, (axis, size)].ipc
+                              / results[name, (axis, base)].ipc)
+                       for size in sizes}
+                for name in names}
+
+    return relative("rob", rob_sizes, 128), relative("lvaq", lvaq_sizes, 64)
+
+
 def run_rob(scale: float = DEFAULT_SCALE,
             programs: Optional[Sequence[str]] = None,
             sizes: Sequence[int] = ROB_SIZES) -> Dict[str, Dict[int, float]]:
     """IPC relative to the ROB=128 base, per ROB size."""
-    rows: Dict[str, Dict[int, float]] = {}
-    for name in select_programs(programs, PROGRAMS):
-        base = run_sim(name, _config(rob=128), scale)
-        rows[name] = {
-            size: run_sim(name, _config(rob=size), scale).ipc / base.ipc
-            for size in sizes
-        }
-    return rows
+    return run(scale, programs, rob_sizes=sizes, lvaq_sizes=())[0]
 
 
 def run_lvaq(scale: float = DEFAULT_SCALE,
              programs: Optional[Sequence[str]] = None,
              sizes: Sequence[int] = LVAQ_SIZES) -> Dict[str, Dict[int, float]]:
     """IPC relative to the LVAQ=64 base, per LVAQ size."""
-    rows: Dict[str, Dict[int, float]] = {}
-    for name in select_programs(programs, PROGRAMS):
-        base = run_sim(name, _config(lvaq=64), scale)
-        rows[name] = {
-            size: run_sim(name, _config(lvaq=size), scale).ipc / base.ipc
-            for size in sizes
-        }
-    return rows
+    return run(scale, programs, rob_sizes=(), lvaq_sizes=sizes)[1]
 
 
 def render(rob_rows: Dict[str, Dict[int, float]],
@@ -97,7 +107,7 @@ def render(rob_rows: Dict[str, Dict[int, float]],
 
 
 def main() -> None:
-    print(render(run_rob(), run_lvaq()))
+    print(render(*run()))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Shared infrastructure for the experiment modules.
 
-The simulation-result cache matters: the figures sweep many (N+M)
-configurations over the same traces, and several figures share
-configurations (e.g. the (2+0) baseline appears in Figures 7, 9, 10, 11).
-``run_sim`` keeps a per-process memo and delegates misses to the
-:mod:`repro.runtime` session, which adds the persistent on-disk cache and
-(via :func:`prewarm`) the parallel worker pool.
+Each timing experiment declares its whole simulation grid up front —
+``{cell: SimJob | MixJob}`` — and resolves it with :func:`run_jobs`,
+which answers what it can from a per-process memo and sends the rest to
+the :mod:`repro.runtime` session as one batch (dedup, persistent store,
+worker pool, retries).  Figures share configurations (the (2+0) baseline
+appears in Figures 7, 9, 10 and 11), so the memo and the store make a
+repeated cell free.
 
 ``REPRO_SCALE`` (environment) globally scales trace lengths; 1.0 uses the
 default scaled-Table-2 lengths, 0.25 makes every experiment 4x faster at
@@ -16,25 +17,24 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (Any, Dict, Hashable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.core.config import MachineConfig
-from repro.core.metrics import SimResult
 from repro.runtime.engine import EngineReport, RuntimeSession
 from repro.runtime.job import SimJob
-from repro.runtime.signature import config_signature
 from repro.vm.trace import Trace
 from repro.workloads.builder import build_trace
 from repro.workloads.spec import get_spec
 
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
 
-_RESULTS: Dict[Tuple, SimResult] = {}
+#: job key -> result, for every job this process has resolved.
+_RESULTS: Dict[str, Any] = {}
+#: The engine report of every batch :func:`run_jobs` has sent (the
+#: runner writes its manifest from their union).
+REPORTS: List[EngineReport] = []
 _SESSION: Optional[RuntimeSession] = None
-
-#: When set, every cache-missing ``run_sim`` call reports its job here
-#: (the plan-fidelity tests use this to audit the scheduler's plans).
-JOB_OBSERVER: Optional[Callable[[SimJob], None]] = None
 
 
 @lru_cache(maxsize=None)
@@ -52,17 +52,6 @@ def trace_for(name: str, scale: float = 1.0, seed: int = 1) -> Trace:
     return build_trace(name, length=length, seed=seed)
 
 
-def config_key(config: MachineConfig) -> Tuple:
-    """A hashable signature of everything that affects simulation.
-
-    Derived generically from the configuration objects' fields (see
-    :func:`repro.runtime.signature.config_signature`), so a newly added
-    config field is covered automatically and cannot silently poison the
-    result cache.
-    """
-    return config_signature(config)
-
-
 def runtime_session() -> RuntimeSession:
     """The active runtime session (a sequential, env-configured default
     until :func:`configure_runtime` installs one)."""
@@ -74,7 +63,7 @@ def runtime_session() -> RuntimeSession:
 
 def configure_runtime(session: Optional[RuntimeSession] = None,
                       **kwargs) -> RuntimeSession:
-    """Install the session ``run_sim``/``prewarm`` should use.
+    """Install the session :func:`run_jobs` should use.
 
     Pass a prebuilt :class:`RuntimeSession`, or keyword arguments
     (``jobs=``, ``cache_dir=``, ``no_cache=``, ``timeout=``, ...) to build
@@ -85,39 +74,34 @@ def configure_runtime(session: Optional[RuntimeSession] = None,
     return _SESSION
 
 
-def _memo_key(job: SimJob) -> Tuple:
-    return (job.workload, job.scale, job.seed, config_key(job.config))
+def run_jobs(grid: Mapping[Hashable, Any]) -> Dict[Hashable, Any]:
+    """Resolve every cell of *grid* (``{cell: job}``) to its result.
+
+    Memo misses go to the session's engine as one batch; raises
+    :class:`SimulationError` naming the first job that still failed
+    after the engine's retries.
+    """
+    misses = [job for job in grid.values() if job.key not in _RESULTS]
+    if misses:
+        report = runtime_session().run(misses)
+        REPORTS.append(report)
+        _RESULTS.update(report.results())
+        report.raise_failures()
+    return {cell: _RESULTS[job.key] for cell, job in grid.items()}
 
 
-def run_sim(workload: str, config: MachineConfig,
-            scale: float = 1.0, seed: int = 1) -> SimResult:
-    """Simulate *workload* on *config*, memoising the result."""
-    job = SimJob(workload, config, scale=scale, seed=seed)
-    key = _memo_key(job)
-    cached = _RESULTS.get(key)
-    if cached is not None:
-        return cached
-    if JOB_OBSERVER is not None:
-        JOB_OBSERVER(job)
-    result = runtime_session().simulate(job)
-    _RESULTS[key] = result
-    return result
-
-
-def prewarm(jobs: Iterable[SimJob]) -> EngineReport:
-    """Run *jobs* through the session's engine (deduplicated, parallel,
-    cached) and seed the in-process memo with every result, so the
-    subsequent sequential render pass is all cache hits."""
-    report = runtime_session().prewarm(jobs)
-    for outcome in report.outcomes.values():
-        if outcome.result is not None:
-            _RESULTS[_memo_key(outcome.job)] = outcome.result
-    return report
+def sim_grid(programs: Sequence[str],
+             configs: Mapping[Hashable, MachineConfig],
+             scale: float) -> Dict[Tuple[str, Hashable], SimJob]:
+    """``{(program, label): SimJob}`` for every program x labelled config."""
+    return {(name, label): SimJob(name, config, scale=scale)
+            for name in programs for label, config in configs.items()}
 
 
 def clear_result_cache() -> None:
-    """Drop memoised simulation results (and the trace memo)."""
+    """Drop memoised simulation results, batch reports and traces."""
     _RESULTS.clear()
+    REPORTS.clear()
     trace_for.cache_clear()
 
 

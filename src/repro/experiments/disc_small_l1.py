@@ -17,8 +17,9 @@ from typing import Dict, Optional, Sequence
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.utils import geometric_mean
@@ -35,22 +36,20 @@ def run(scale: float = DEFAULT_SCALE,
 
     Values above 1.0 mean the small L1 wins at that L2 latency.
     """
-    rows: Dict[str, Dict[int, float]] = {}
-    for name in select_programs(programs, INT_PROGRAMS):
-        row: Dict[int, float] = {}
-        for l2_latency in l2_latencies:
-            standard = run_sim(
-                name, nm_config(2, 0, l2_latency=l2_latency), scale
-            )
-            small = run_sim(
-                name,
-                nm_config(2, 0, l1_size=2 * 1024, l1_assoc=1,
-                          l1_hit_latency=1, l2_latency=l2_latency),
-                scale,
-            )
-            row[l2_latency] = small.ipc / standard.ipc
-        rows[name] = row
-    return rows
+    names = select_programs(programs, INT_PROGRAMS)
+    configs = {}
+    for latency in l2_latencies:
+        configs["standard", latency] = nm_config(2, 0, l2_latency=latency)
+        configs["small", latency] = nm_config(
+            2, 0, l1_size=2 * 1024, l1_assoc=1, l1_hit_latency=1,
+            l2_latency=latency)
+    results = run_jobs(sim_grid(names, configs, scale))
+    return {
+        name: {latency: (results[name, ("small", latency)].ipc
+                         / results[name, ("standard", latency)].ipc)
+               for latency in l2_latencies}
+        for name in names
+    }
 
 
 def crossover_latency(rows: Dict[str, Dict[int, float]]) -> int:

@@ -20,8 +20,9 @@ from typing import Dict, Optional, Sequence
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.workloads.spec import ALL_PROGRAMS
@@ -33,23 +34,19 @@ def run(scale: float = DEFAULT_SCALE,
         programs: Optional[Sequence[str]] = None,
         optimized: bool = True) -> Dict[str, Dict[str, float]]:
     """Relative IPC over (2+0) for the Figure 10 configurations."""
-    fast = optimized
-    combining = 2 if optimized else 1
-    rows: Dict[str, Dict[str, float]] = {}
-    for name in select_programs(programs, ALL_PROGRAMS):
-        base = run_sim(name, nm_config(2, 0), scale)
-        configs = {
-            "(2+0)": nm_config(2, 0),
-            "(2+2)": nm_config(2, 2, fast_forwarding=fast,
-                               combining=combining),
-            "(4+0)": nm_config(4, 0),
-            "(4+0) 3cyc": nm_config(4, 0, l1_hit_latency=3),
-        }
-        rows[name] = {
-            label: run_sim(name, config, scale).ipc / base.ipc
-            for label, config in configs.items()
-        }
-    return rows
+    names = select_programs(programs, ALL_PROGRAMS)
+    results = run_jobs(sim_grid(names, {
+        "(2+0)": nm_config(2, 0),
+        "(2+2)": nm_config(2, 2, fast_forwarding=optimized,
+                           combining=2 if optimized else 1),
+        "(4+0)": nm_config(4, 0),
+        "(4+0) 3cyc": nm_config(4, 0, l1_hit_latency=3),
+    }, scale))
+    return {
+        name: {label: results[name, label].ipc / results[name, "(2+0)"].ipc
+               for label in CONFIG_NAMES}
+        for name in names
+    }
 
 
 def render(rows: Dict[str, Dict[str, float]]) -> str:

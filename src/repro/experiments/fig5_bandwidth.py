@@ -13,8 +13,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.utils import geometric_mean
@@ -28,14 +29,14 @@ def run(scale: float = DEFAULT_SCALE,
         programs: Optional[Sequence[str]] = None,
         ports: Sequence[int] = PORT_COUNTS) -> Dict[str, Dict[int, float]]:
     """Relative IPC of each (N+0) over (16+0), per program."""
-    rows: Dict[str, Dict[int, float]] = {}
-    for name in select_programs(programs, ALL_PROGRAMS):
-        limit = run_sim(name, nm_config(LIMIT_PORTS, 0), scale)
-        rows[name] = {
-            n: run_sim(name, nm_config(n, 0), scale).ipc / limit.ipc
-            for n in ports
-        }
-    return rows
+    names = select_programs(programs, ALL_PROGRAMS)
+    results = run_jobs(sim_grid(
+        names, {n: nm_config(n, 0) for n in (*ports, LIMIT_PORTS)}, scale))
+    return {
+        name: {n: results[name, n].ipc / results[name, LIMIT_PORTS].ipc
+               for n in ports}
+        for name in names
+    }
 
 
 def average_curve(rows: Dict[str, Dict[int, float]]) -> Dict[int, float]:

@@ -14,12 +14,13 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
+    trace_for,
 )
 from repro.mem.cache import Cache, CacheGeometry
 from repro.stats.report import Table
-from repro.experiments.common import trace_for
 from repro.workloads.spec import ALL_PROGRAMS
 
 LVC_SIZES = (512, 1024, 2048, 4096)
@@ -47,10 +48,12 @@ def l2_traffic_change(scale: float = DEFAULT_SCALE,
                       programs: Optional[Sequence[str]] = None,
                       ports: int = 3) -> Dict[str, float]:
     """Relative L2 traffic of (N+2) vs (N+0): below 1.0 means reduction."""
+    names = select_programs(programs, ALL_PROGRAMS)
+    results = run_jobs(sim_grid(
+        names, {0: nm_config(ports, 0), 2: nm_config(ports, 2)}, scale))
     out: Dict[str, float] = {}
-    for name in select_programs(programs, ALL_PROGRAMS):
-        base = run_sim(name, nm_config(ports, 0), scale)
-        with_lvc = run_sim(name, nm_config(ports, 2), scale)
+    for name in names:
+        base, with_lvc = results[name, 0], results[name, 2]
         out[name] = (with_lvc.l2_traffic / base.l2_traffic
                      if base.l2_traffic else 1.0)
     return out

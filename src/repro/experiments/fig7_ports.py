@@ -13,8 +13,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.utils import geometric_mean
@@ -31,17 +32,17 @@ def run(scale: float = DEFAULT_SCALE,
         fast_forwarding: bool = False,
         combining: int = 1) -> Dict[str, Dict[Tuple[int, int], float]]:
     """Relative IPC of each (N+M) over (2+0), per program."""
-    rows: Dict[str, Dict[Tuple[int, int], float]] = {}
-    for name in select_programs(programs, ALL_PROGRAMS):
-        base = run_sim(name, nm_config(2, 0), scale)
-        row: Dict[Tuple[int, int], float] = {}
-        for n in n_values:
-            for m in m_values:
-                config = nm_config(n, m, fast_forwarding=fast_forwarding,
-                                   combining=combining if m else 1)
-                row[(n, m)] = run_sim(name, config, scale).ipc / base.ipc
-        rows[name] = row
-    return rows
+    names = select_programs(programs, ALL_PROGRAMS)
+    points = {(n, m): nm_config(n, m, fast_forwarding=fast_forwarding,
+                                combining=combining if m else 1)
+              for n in n_values for m in m_values}
+    results = run_jobs(sim_grid(
+        names, {"base": nm_config(2, 0), **points}, scale))
+    return {
+        name: {point: results[name, point].ipc / results[name, "base"].ipc
+               for point in points}
+        for name in names
+    }
 
 
 def average_surface(

@@ -14,8 +14,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.utils import geometric_mean
@@ -31,18 +32,17 @@ def run(scale: float = DEFAULT_SCALE,
         degrees: Sequence[int] = DEGREES,
         ) -> Dict[str, Dict[Tuple[int, int, int], float]]:
     """Relative IPC vs the no-combining run, keyed by (N, M, degree)."""
-    rows: Dict[str, Dict[Tuple[int, int, int], float]] = {}
-    for name in select_programs(programs, INT_PROGRAMS):
-        row: Dict[Tuple[int, int, int], float] = {}
-        for n, m in configs:
-            base = run_sim(name, nm_config(n, m, combining=1), scale)
-            for degree in degrees:
-                result = run_sim(
-                    name, nm_config(n, m, combining=degree), scale
-                )
-                row[(n, m, degree)] = result.ipc / base.ipc
-        rows[name] = row
-    return rows
+    names = select_programs(programs, INT_PROGRAMS)
+    results = run_jobs(sim_grid(names, {
+        (n, m, degree): nm_config(n, m, combining=degree)
+        for n, m in configs for degree in (1, *degrees)
+    }, scale))
+    return {
+        name: {(n, m, degree): (results[name, (n, m, degree)].ipc
+                                / results[name, (n, m, 1)].ipc)
+               for n, m in configs for degree in degrees}
+        for name in names
+    }
 
 
 def render(rows: Dict[str, Dict[Tuple[int, int, int], float]]) -> str:

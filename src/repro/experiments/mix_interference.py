@@ -30,11 +30,11 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
+    sim_grid,
 )
 from repro.runtime.job import MixJob
 from repro.stats.report import Table
-from repro.trace.mix import MixResult, run_mix_jobs
 from repro.utils import geometric_mean
 
 #: Program pairs, chosen to mix cache-hungry and compute-leaning codes.
@@ -51,19 +51,6 @@ CONFIGS = {
 }
 
 
-def _mix_results(pairs: Sequence[Tuple[str, str]], scale: float
-                 ) -> Dict[Tuple[Tuple[str, str], str], MixResult]:
-    """Run every (pair, config) mix in one engine batch."""
-    jobs = []
-    index = []
-    for pair in pairs:
-        for label, make in CONFIGS.items():
-            jobs.append(MixJob(pair, make(), scale=scale))
-            index.append((pair, label))
-    results = run_mix_jobs(jobs)
-    return {key: result for key, (_, result) in zip(index, results)}
-
-
 def run(scale: float = DEFAULT_SCALE,
         pairs: Optional[Sequence[Tuple[str, str]]] = None
         ) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
@@ -73,17 +60,22 @@ def run(scale: float = DEFAULT_SCALE,
     the bus-conflict stall cycles and suffered L2 evictions.
     """
     pairs = tuple(pairs) if pairs is not None else MIX_PAIRS
-    mixes = _mix_results(pairs, scale)
+    machines = {label: make() for label, make in CONFIGS.items()}
+    # Solo cells are keyed (program, label), mix cells (pair, label).
+    grid = sim_grid(sorted({name for pair in pairs for name in pair}),
+                    machines, scale)
+    grid.update({(pair, label): MixJob(pair, config, scale=scale)
+                 for pair in pairs for label, config in machines.items()})
+    results = run_jobs(grid)
     rows: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
     for pair in pairs:
         pair_label = "+".join(pair)
         rows[pair_label] = {}
-        for label, make in CONFIGS.items():
-            mix = mixes[(pair, label)]
+        for label in CONFIGS:
             cell: Dict[str, Dict[str, float]] = {}
             for name in pair:
-                solo = run_sim(name, make(), scale)
-                sliced = mix.slice(name)
+                solo = results[name, label]
+                sliced = results[pair, label].slice(name)
                 cell[name] = {
                     "solo_ipc": solo.ipc,
                     "mix_ipc": sliced.ipc,

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import (DEFAULT_SCALE, nm_config, run_sim,
-                                      select_programs, trace_for)
+from repro.experiments.common import (DEFAULT_SCALE, nm_config, run_jobs,
+                                      select_programs, sim_grid, trace_for)
 from repro.stats.report import Table
 from repro.workloads.minic import MINIC_PROGRAMS
 
@@ -58,18 +58,20 @@ class OptRow:
 def run(scale: float = DEFAULT_SCALE,
         programs: Optional[Sequence[str]] = None) -> List[OptRow]:
     """Measure every program at each level on both machines."""
-    machines = configs()
+    names = select_programs(programs, PROGRAMS)
+    results = run_jobs(sim_grid(
+        [f"{name}@O{level}" for name in names for level in LEVELS],
+        configs(), scale))
     rows: List[OptRow] = []
-    for name in select_programs(programs, PROGRAMS):
+    for name in names:
         row = OptRow(name)
         for level in LEVELS:
             workload = f"{name}@O{level}"
             trace = trace_for(workload, scale)
             row.instructions[level] = trace.stats.instructions
             row.local_fraction[level] = trace.stats.local_fraction
-            base = run_sim(workload, machines["2+0"], scale)
-            lvaq = run_sim(workload, machines["2+2:opt"], scale)
-            row.lvaq_speedup[level] = lvaq.ipc / base.ipc
+            row.lvaq_speedup[level] = (results[workload, "2+2:opt"].ipc
+                                       / results[workload, "2+0"].ipc)
         rows.append(row)
     return rows
 

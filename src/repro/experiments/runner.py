@@ -3,13 +3,14 @@
 ``repro-experiments all`` regenerates every table and figure (the full
 evaluation of the paper); one or more individual names run a subset.
 
-The runner executes in two phases.  The **prewarm** phase collects every
-timing simulation the selected experiments will need (see
-:mod:`repro.runtime.plans`), deduplicates shared configurations, and runs
-the misses on a worker pool (``--jobs N``) backed by the persistent
-result cache (``--cache-dir``), writing ``results/run_manifest.json``.
-The **render** phase then runs the experiment modules sequentially — all
-cache hits — so output is byte-identical to a purely sequential run.
+Each experiment sends its simulation grid to one shared runtime session
+as a single batch (:func:`repro.experiments.common.run_jobs`): shared
+configurations are deduplicated, the misses run on a worker pool
+(``--jobs N``) whose warm workers persist across experiments, and every
+result goes through the persistent store (``--cache-dir``).  Simulation
+is a pure function of its job, so the output is byte-identical to a
+sequential run.  At exit the runner writes the union of the batches to
+``results/run_manifest.json``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.experiments import (
     table2_workloads,
     table3_forwarding,
 )
-from repro.runtime import plans
+from repro.runtime.engine import EngineReport
 from repro.runtime.manifest import ProgressPrinter, RunManifest
 from repro.runtime.store import default_cache_dir
 from repro.stats.report import format_duration
@@ -85,8 +86,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="continue past a failing experiment; exit "
                              "nonzero listing every failure at the end")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes for the simulation prewarm "
-                             "phase (default 1 = in-process)")
+                        help="worker processes for the simulations "
+                             "(default 1 = in-process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent result-cache directory "
                              f"(default {default_cache_dir()})")
@@ -94,7 +95,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="disable the on-disk result cache")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-job timeout in the prewarm phase")
+                        help="per-job simulation timeout")
     parser.add_argument("--retries", type=int, default=1, metavar="N",
                         help="retries for failed/timed-out jobs (default 1)")
     parser.add_argument("--manifest", default=DEFAULT_MANIFEST,
@@ -114,6 +115,26 @@ def _expand(names: List[str]) -> List[str]:
     return out
 
 
+def _write_manifest(args, names: List[str], session,
+                    batches: List[EngineReport]) -> None:
+    """Summarise the union of the run's batches on stderr and write it."""
+    outcomes = {}
+    for report in batches:
+        outcomes.update(report.outcomes)
+    report = EngineReport(outcomes, sum(r.elapsed for r in batches),
+                          sum(r.duplicates for r in batches), session.jobs)
+    manifest = RunManifest(
+        report, salt=session.salt, scale=common.DEFAULT_SCALE,
+        experiments=names,
+        cache_stats=(session.cache.stats()
+                     if session.cache is not None else None),
+    )
+    print(manifest.summary(), file=sys.stderr)
+    if args.manifest:
+        manifest.write(args.manifest)
+        print(f"[runtime] manifest: {args.manifest}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -131,42 +152,29 @@ def main(argv=None) -> int:
     names = _expand(args.experiments)
 
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
-    session = common.configure_runtime(
+    first_batch = len(common.REPORTS)
+    with common.configure_runtime(
         jobs=args.jobs, cache_dir=cache_dir, no_cache=args.no_cache,
         timeout=args.timeout, retries=args.retries,
-        progress=ProgressPrinter(),
-    )
-
-    plan = plans.collect(names, common.DEFAULT_SCALE)
-    if plan and (args.jobs > 1 or session.cache is not None):
-        report = common.prewarm(plan)
-        manifest = RunManifest(
-            report, salt=session.salt, scale=common.DEFAULT_SCALE,
-            experiments=names,
-            cache_stats=(session.cache.stats()
-                         if session.cache is not None else None),
-        )
-        print(manifest.summary(), file=sys.stderr)
-        if args.manifest:
-            manifest.write(args.manifest)
-            print(f"[runtime] manifest: {args.manifest}", file=sys.stderr)
-        for outcome in report.failed:
-            print(f"[runtime] job failed: {outcome.job.label()}: "
-                  f"{outcome.error}", file=sys.stderr)
-
-    failed: List[str] = []
-    for name in names:
-        started = time.time()
-        try:
-            EXPERIMENTS[name]()
-        except Exception as exc:  # noqa: BLE001 - reported, not hidden
-            failed.append(name)
-            print(f"[{name} FAILED: {type(exc).__name__}: {exc}]",
-                  file=sys.stderr)
-            if not args.keep_going:
-                break
-        else:
-            print(f"[{name} took {format_duration(time.time() - started)}]\n")
+        progress=ProgressPrinter(), keep_pool=True,
+    ) as session:
+        failed: List[str] = []
+        for name in names:
+            started = time.time()
+            try:
+                EXPERIMENTS[name]()
+            except Exception as exc:  # noqa: BLE001 - reported, not hidden
+                failed.append(name)
+                print(f"[{name} FAILED: {type(exc).__name__}: {exc}]",
+                      file=sys.stderr)
+                if not args.keep_going:
+                    break
+            else:
+                print(f"[{name} took "
+                      f"{format_duration(time.time() - started)}]\n")
+    batches = common.REPORTS[first_batch:]
+    if batches:
+        _write_manifest(args, names, session, batches)
     if failed:
         print(f"repro-experiments: {len(failed)} experiment(s) failed: "
               f"{', '.join(failed)}", file=sys.stderr)

@@ -8,13 +8,14 @@ its local loads find their value in the LVAQ.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.common import (
     DEFAULT_SCALE,
     nm_config,
-    run_sim,
+    run_jobs,
     select_programs,
+    sim_grid,
 )
 from repro.stats.report import Table
 from repro.workloads.spec import ALL_PROGRAMS
@@ -38,12 +39,14 @@ class Table3Row:
 def run(scale: float = DEFAULT_SCALE,
         programs: Optional[Sequence[str]] = None) -> List[Table3Row]:
     """Speedup of (3+2)+fast-forwarding over plain (3+2), per program."""
+    names = select_programs(programs, ALL_PROGRAMS)
+    results = run_jobs(sim_grid(names, {
+        "base": nm_config(N_PORTS, M_PORTS),
+        "fast": nm_config(N_PORTS, M_PORTS, fast_forwarding=True),
+    }, scale))
     rows: List[Table3Row] = []
-    for name in select_programs(programs, ALL_PROGRAMS):
-        base = run_sim(name, nm_config(N_PORTS, M_PORTS), scale)
-        fast = run_sim(
-            name, nm_config(N_PORTS, M_PORTS, fast_forwarding=True), scale
-        )
+    for name in names:
+        base, fast = results[name, "base"], results[name, "fast"]
         rows.append(Table3Row(
             name,
             fast.ipc / base.ipc - 1.0,

@@ -22,9 +22,7 @@ design-space-exploration driver on top.  The layers, bottom up:
   ``repro-cc serve`` (submit/status/result/stream over JSON);
 * :mod:`repro.runtime.sweep`     — the budgeted DSE sweep driver behind
   ``repro-cc sweep``;
-* :mod:`repro.runtime.manifest`  — run manifest + live progress reporting;
-* :mod:`repro.runtime.plans`     — per-experiment job enumeration used to
-  prewarm the store before the (sequential, deterministic) render pass.
+* :mod:`repro.runtime.manifest`  — run manifest + live progress reporting.
 
 See ``docs/runtime.md`` for the architecture and the store layout.
 """

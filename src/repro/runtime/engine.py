@@ -41,6 +41,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from repro.errors import SimulationError
 from repro.runtime.registry import kind_for
 from repro.runtime.signature import code_salt
 from repro.runtime.store import runtime_store
@@ -227,6 +228,15 @@ class EngineReport:
         """key -> result for every successful job."""
         return {key: o.result for key, o in self.outcomes.items()
                 if o.result is not None}
+
+    def raise_failures(self) -> None:
+        """Raise :class:`SimulationError` naming the first failed job."""
+        failed = self.failed
+        if failed:
+            first = failed[0]
+            raise SimulationError(
+                f"{len(failed)} job(s) failed; first: "
+                f"{first.job.label()}: {first.error}")
 
 
 class JobEngine:
@@ -503,9 +513,8 @@ class RuntimeSession:
 
     Owns the result-store handle, the engine knobs, and — when asked —
     a persistent :class:`WorkerPool` whose warm workers survive across
-    engine runs; ``simulate`` is the single-job fast path ``run_sim``
-    uses, ``prewarm`` is the batch entry the experiment runner uses to
-    fill the store in parallel.
+    engine runs; ``run`` is the batch entry the experiments, the sweep
+    driver and :func:`run_sim_jobs` send their jobs through.
     """
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
@@ -532,22 +541,9 @@ class RuntimeSession:
                          progress=self.progress, batch=self.batch,
                          pool=self.pool)
 
-    def simulate(self, job) -> Any:
-        """Run one job inline, going through the store."""
-        if self.cache is not None:
-            cached = self.cache.lookup(job)
-            if cached is not None:
-                return cached
-        result = execute_any(job)
-        if self.cache is not None:
-            self.cache.store(job, result)
-            self.cache.flush()
-        return result
-
-    def prewarm(self, jobs: Iterable[Any],
-                execute: Callable[[Any], Any] = execute_any
-                ) -> EngineReport:
-        """Dedupe + fan out *jobs*, filling the store; returns the report."""
+    def run(self, jobs: Iterable[Any],
+            execute: Callable[[Any], Any] = execute_any) -> EngineReport:
+        """Dedupe + fan out *jobs* through the store; returns the report."""
         return self.engine().run(jobs, execute=execute)
 
     def close(self) -> None:
@@ -573,17 +569,10 @@ def run_sim_jobs(jobs: Iterable[Any], engine_jobs: int = 1,
     their streamed results byte-for-byte against this.  Raises
     :class:`repro.errors.SimulationError` if any job failed.
     """
-    from repro.errors import SimulationError
-
     jobs = list(jobs)
     with RuntimeSession(jobs=engine_jobs, cache_dir=cache_dir,
                         no_cache=no_cache, timeout=timeout) as session:
-        report = session.prewarm(jobs)
-    failed = report.failed
-    if failed:
-        first = failed[0]
-        raise SimulationError(
-            f"{len(failed)} job(s) failed; first: "
-            f"{first.job.label()}: {first.error}")
+        report = session.run(jobs)
+    report.raise_failures()
     by_key = report.results()
     return [(job, by_key[job.key]) for job in jobs]

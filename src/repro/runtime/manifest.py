@@ -3,7 +3,8 @@
 The manifest is the machine-readable record of one runtime batch: every
 deduplicated job with its status and wall time, plus aggregate throughput
 numbers (cache hit rate, worker utilization).  ``repro-experiments``
-writes it to ``results/run_manifest.json`` after the prewarm phase.
+writes the union of its experiments' batches to
+``results/run_manifest.json`` at the end of a run.
 
 The write is deterministic for a given batch: keys are sorted, job
 entries are ordered by job key (never by completion order, which varies
@@ -109,6 +110,8 @@ class ProgressPrinter:
 
     def __call__(self, event: str, outcome: JobOutcome,
                  done: int, total: int) -> None:
+        if done == 1:  # a new batch: the counts restart with it
+            self._cached = 0
         if event == "cached":
             self._cached += 1
         now = time.monotonic()

@@ -199,10 +199,6 @@ class ResultStore:
         self._mark_dirty(shard)
         self.writes += 1
 
-    def contains(self, job) -> bool:
-        """Whether a payload exists for *job* (no counters, no decode)."""
-        return os.path.exists(self._payload_path(job.key))
-
     def _touch(self, key: str, kind_name: str, data: bytes) -> None:
         shard = self._shard(key)
         index = self._load_index(shard)

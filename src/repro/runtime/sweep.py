@@ -334,7 +334,7 @@ class _LocalRunner:
             keep_pool=jobs > 1)
 
     def run(self, batch) -> Dict[str, Dict[str, Any]]:
-        report = self.session.prewarm([job for _key, job, _p in batch])
+        report = self.session.run([job for _key, job, _p in batch])
         outcomes = {}
         for key, outcome in report.outcomes.items():
             entry: Dict[str, Any] = {"ok": outcome.ok,

@@ -31,13 +31,12 @@ from repro.trace.format import (
     trace_info,
     write_trace,
 )
-from repro.trace.mix import INTERFERENCE_COUNTERS, MixResult, run_mix_jobs
+from repro.trace.mix import INTERFERENCE_COUNTERS, MixResult
 from repro.trace.replay import check_replay_equivalence, replay_fast
 
 __all__ = [
     "INTERFERENCE_COUNTERS",
     "MixResult",
-    "run_mix_jobs",
     "TRACE_FORMAT_VERSION",
     "TraceJob",
     "TraceStore",

@@ -3,18 +3,16 @@
 :class:`MixResult` packages what :func:`repro.core.multicore.run_mix`
 produces — one :class:`~repro.core.metrics.SimResult` slice per program
 plus the ``mix.*`` interference counters — into a single cacheable
-value, and :func:`run_mix_jobs` runs a batch of
-:class:`~repro.runtime.job.MixJob` specs through the regular
-:class:`~repro.runtime.engine.JobEngine` (dedup, cache, pool, retries)
-with a mix-typed result cache.
+value: the result type of the ``mix`` job kind
+(:class:`~repro.runtime.job.MixJob`), which the regular job engine runs
+and stores like any other kind.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.core.metrics import SimResult
-from repro.runtime.job import MixJob
 
 #: The interference counters a mix run can attribute to each program.
 INTERFERENCE_COUNTERS = (
@@ -83,29 +81,3 @@ class MixResult:
     def __repr__(self) -> str:
         names = "+".join(p.workload_name for p in self.programs)
         return f"MixResult({names} on {self.config_name}, {self.cycles} cycles)"
-
-
-def run_mix_jobs(jobs: Iterable[MixJob], engine_jobs: int = 1,
-                 cache_dir: Optional[str] = None,
-                 timeout: Optional[float] = None
-                 ) -> List[Tuple[MixJob, MixResult]]:
-    """Run *jobs* through the engine; returns (job, result) in order.
-
-    Raises :class:`repro.errors.SimulationError` if any mix failed.
-    """
-    from repro.errors import SimulationError
-    from repro.runtime.engine import JobEngine
-    from repro.runtime.store import runtime_store
-
-    jobs = list(jobs)
-    engine = JobEngine(jobs=engine_jobs, cache=runtime_store(cache_dir),
-                       timeout=timeout)
-    report = engine.run(jobs)
-    failed = report.failed
-    if failed:
-        first = failed[0]
-        raise SimulationError(
-            f"{len(failed)} mix job(s) failed; first: "
-            f"{first.job.label()}: {first.error}")
-    by_key = report.results()
-    return [(job, by_key[job.key]) for job in jobs]

@@ -1,5 +1,5 @@
 """The repro-experiments CLI: --list, multiple names, --keep-going,
-exit codes, prewarm + manifest plumbing."""
+exit codes, store + manifest plumbing."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.experiments import common, runner
-from repro.runtime import plans
 from repro.runtime.job import SimJob
 
 
@@ -84,19 +83,16 @@ def test_multiple_names_run_in_order(monkeypatch, capsys):
 
 def test_prewarm_writes_manifest_and_seeds_results(monkeypatch, tmp_path,
                                                    capsys):
+    """An experiment's batch lands in the manifest and the store; a warm
+    rerun is all store hits."""
     ran = []
 
     def fake_main():
-        # The render phase must find the prewarmed result in the memo.
-        result = common.run_sim("130.li", common.nm_config(2, 0),
-                                scale=0.12)
-        ran.append(result.cycles)
+        results = common.run_jobs(
+            {"li": SimJob("130.li", common.nm_config(2, 0), scale=0.12)})
+        ran.append(results["li"].cycles)
 
     monkeypatch.setattr(runner, "EXPERIMENTS", {"fake": fake_main})
-    monkeypatch.setitem(
-        plans.PLANNERS, "fake",
-        lambda scale: [SimJob("130.li", common.nm_config(2, 0),
-                              scale=0.12)])
     manifest_path = tmp_path / "manifest.json"
     rc = runner.main(["fake", "--jobs", "1",
                       "--cache-dir", str(tmp_path / "cache"),
@@ -118,9 +114,82 @@ def test_prewarm_writes_manifest_and_seeds_results(monkeypatch, tmp_path,
                       "--cache-dir", str(tmp_path / "cache"),
                       "--manifest", str(manifest_path)])
     assert rc == 0
+    assert ran[1] == ran[0]
     payload = json.loads(manifest_path.read_text())
     assert payload["jobs_cached"] == 1
     assert payload["cache_hit_rate"] == 1.0
+
+
+def _failing_experiments(monkeypatch, log):
+    """``bad`` asks for a workload that does not exist; ``ok`` is fine."""
+    def bad():
+        log.append("bad")
+        common.run_jobs(
+            {"x": SimJob("no.such-program", common.nm_config(2, 0))})
+
+    def ok():
+        log.append("ok")
+
+    monkeypatch.setattr(runner, "EXPERIMENTS", {"bad": bad, "ok": ok})
+
+
+def test_failed_job_fails_its_experiment(monkeypatch, tmp_path, capsys):
+    log = []
+    _failing_experiments(monkeypatch, log)
+    manifest_path = tmp_path / "manifest.json"
+    rc = runner.main(["bad", "ok", "--keep-going", "--no-cache",
+                      "--retries", "0", "--manifest", str(manifest_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert log == ["bad", "ok"]
+    assert "[bad FAILED: SimulationError" in captured.err
+    assert "no.such-program" in captured.err
+    payload = json.loads(manifest_path.read_text())
+    assert payload["jobs_failed"] == 1
+
+
+def _mix_runner(monkeypatch):
+    """mix-interference on one pair at the smallest trace length."""
+    from repro.experiments import mix_interference
+
+    monkeypatch.setattr(mix_interference, "MIX_PAIRS",
+                        (("129.compress", "130.li"),))
+    monkeypatch.setitem(
+        runner.EXPERIMENTS, "mix-interference",
+        lambda: print(mix_interference.render(
+            mix_interference.run(scale=0.001))))
+
+
+def test_mix_interference_batch_uses_the_runner_store(monkeypatch, tmp_path,
+                                                      capsys):
+    """The mixes ride in the experiment's batch: --cache-dir stores them,
+    and the warm rerun's manifest lists them as cached."""
+    _mix_runner(monkeypatch)
+    manifest_path = tmp_path / "manifest.json"
+    argv = ["mix-interference", "--cache-dir", str(tmp_path / "cache"),
+            "--manifest", str(manifest_path)]
+    assert runner.main(argv) == 0
+    cold = capsys.readouterr().out
+
+    monkeypatch.setattr(common, "_SESSION", None)
+    common.clear_result_cache()
+    assert runner.main(argv) == 0
+    assert capsys.readouterr().out.split("[mix-interference took")[0] == (
+        cold.split("[mix-interference took")[0])
+    payload = json.loads(manifest_path.read_text())
+    assert payload["jobs_total"] == 6  # 4 solo runs + 2 mixes
+    assert payload["jobs_cached"] == payload["jobs_total"]
+    mixes = [job for job in payload["jobs"] if "+" in job["workload"]]
+    assert [job["workload"] for job in mixes] == ["129.compress+130.li"] * 2
+
+
+def test_mix_interference_no_cache_writes_nothing(monkeypatch, tmp_path):
+    _mix_runner(monkeypatch)
+    env_store = tmp_path / "env-store"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(env_store))
+    assert runner.main(["mix-interference", "--no-cache",
+                        "--manifest", ""]) == 0
+    assert not env_store.exists() or not any(env_store.iterdir())
 
 
 def test_manifest_write_is_deterministic(tmp_path):

@@ -131,7 +131,7 @@ def test_equivalence_through_parallel_runtime(tmp_path):
 
     session = RuntimeSession(jobs=2, cache_dir=str(tmp_path))
     jobs = [SimJob(workload, cfg, scale=scale, seed=1) for cfg in configs]
-    report = session.prewarm(jobs)
+    report = session.run(jobs)
     assert not report.failed
 
     insts = build_trace(workload, length=length, seed=1).insts

@@ -1,15 +1,18 @@
-"""Manifest writes: concurrent writers of one path never collide."""
+"""Manifest writes: concurrent writers of one path never collide; live
+progress counts restart with each batch."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
 
 import pytest
 
-from repro.runtime.engine import EngineReport
-from repro.runtime.manifest import RunManifest
+from repro.runtime.engine import EngineReport, JobOutcome
+from repro.runtime.job import SimJob
+from repro.runtime.manifest import ProgressPrinter, RunManifest
 from repro.runtime.sweep import SweepManifest, SweepSpec
 
 WRITES = 400
@@ -60,3 +63,17 @@ def test_failed_manifest_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
         manifest.write(path)
     assert os.listdir(str(tmp_path)) == []
+
+
+def test_progress_cached_count_restarts_per_batch(base_config):
+    """One printer serves every batch of a run; each batch's final line
+    counts only that batch's cache hits."""
+    stream = io.StringIO()
+    progress = ProgressPrinter(stream=stream)
+    for total in (3, 2):
+        for done in range(1, total + 1):
+            job = SimJob(f"w{done}", base_config)
+            progress("cached", JobOutcome(job, "cached", worker="cache"),
+                     done, total)
+    lines = stream.getvalue().splitlines()
+    assert lines[-1].startswith("[runtime] 2/2 done (2 cached)")

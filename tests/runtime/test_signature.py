@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.experiments.common import config_key
 from repro.runtime.job import SimJob
 from repro.runtime.signature import (
     code_salt,
@@ -53,13 +52,13 @@ def _perturbations():
 
 def test_every_config_field_changes_the_key():
     """A new or edited field can never silently alias two configs."""
-    base_key = config_key(_fresh_config())
+    base_key = config_signature(_fresh_config())
     checked = 0
     for section, name, mutate in _perturbations():
         config = _fresh_config()
         target = getattr(config, section) if section else config
         setattr(target, name, mutate(getattr(target, name)))
-        assert config_key(config) != base_key, (
+        assert config_signature(config) != base_key, (
             f"field {section or 'machine'}.{name} is not covered")
         checked += 1
     # The three config classes carry a substantial number of knobs; make

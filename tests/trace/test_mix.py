@@ -11,12 +11,9 @@ import pytest
 from repro.core.multicore import run_mix
 from repro.core.processor import Processor
 from repro.perf.golden import GOLDEN_CONFIGS, diff_results, golden_config
+from repro.runtime.engine import run_sim_jobs
 from repro.runtime.job import MixJob
-from repro.trace.mix import (
-    INTERFERENCE_COUNTERS,
-    MixResult,
-    run_mix_jobs,
-)
+from repro.trace.mix import INTERFERENCE_COUNTERS, MixResult
 from repro.workloads.builder import build_trace
 
 MIX_DIGESTS = os.path.join(os.path.dirname(__file__), "mix_digests.json")
@@ -120,9 +117,9 @@ def test_mix_result_slices_and_summary(small_li_trace, small_vortex_trace,
 
 def test_mix_job_engine_and_cache_round_trip(tmp_path, decoupled_config):
     job = MixJob(("130.li", "129.compress"), decoupled_config, scale=0.001)
-    [(returned, first)] = run_mix_jobs([job], cache_dir=str(tmp_path))
+    [(returned, first)] = run_sim_jobs([job], cache_dir=str(tmp_path))
     assert returned is job
-    [(_, second)] = run_mix_jobs(
+    [(_, second)] = run_sim_jobs(
         [MixJob(("130.li", "129.compress"), decoupled_config,
                 scale=0.001)],
         cache_dir=str(tmp_path))
